@@ -107,7 +107,7 @@ int main() {
     // with the rank-k correction instead.
     core::XbarPdipOptions options;
     options.seed = config.seed + m;
-    options.settle_mode = xbar::SettleMode::kExact;
+    options.hardware.crossbar.settle_mode = xbar::SettleMode::kExact;
     const double exact_wall_before_s = settle_wall_seconds();
     const auto exact_flops_before = settle_flops(run.ledger().tree());
     const auto outcome = core::solve_xbar_pdip(problem, options);
@@ -117,7 +117,7 @@ int main() {
         settle_flops(run.ledger().tree()) - exact_flops_before;
 
     core::XbarPdipOptions reuse_options = options;
-    reuse_options.settle_mode = xbar::SettleMode::kReuse;
+    reuse_options.hardware.crossbar.settle_mode = xbar::SettleMode::kReuse;
     const double reuse_wall_before_s = settle_wall_seconds();
     const auto reuse_flops_before = settle_flops(run.ledger().tree());
     const auto reuse_outcome = core::solve_xbar_pdip(problem, reuse_options);

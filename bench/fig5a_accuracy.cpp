@@ -7,15 +7,15 @@
 // size. The exact reference here is the two-phase simplex solver.
 //
 // The per-trial crossbar solves are independent (per-trial seeds), so each
-// (m, variation) cell fans out through solve_batch; MEMLP_THREADS controls
-// the worker count and the results are identical at any value.
+// (m, variation) cell fans out through engine::solve_batch; MEMLP_THREADS
+// controls the worker count and the results are identical at any value.
 #include <cstdio>
 #include <vector>
 
 #include "artifact.hpp"
 #include "bench_util.hpp"
-#include "core/batch.hpp"
 #include "core/xbar_pdip.hpp"
+#include "engine/batch.hpp"
 #include "lp/result.hpp"
 #include "solvers/simplex.hpp"
 
@@ -49,24 +49,27 @@ int main() {
     }
     std::size_t failures = 0;
     for (const double variation : config.variations) {
-      std::vector<BatchJob> jobs;
+      std::vector<engine::BatchItem> items;
       std::vector<double> reference_objectives;
       for (std::size_t trial = 0; trial < config.trials; ++trial) {
         if (!references[trial].optimal()) continue;
-        BatchJob job;
-        job.problem = &problems[trial];
-        job.options.hardware.crossbar.variation =
+        core::XbarPdipOptions options;
+        options.hardware.crossbar.variation =
             variation > 0.0 ? mem::VariationModel::uniform(variation)
                             : mem::VariationModel::none();
-        job.options.seed = config.seed + 1000 * m + trial;
+        options.seed = config.seed + 1000 * m + trial;
         // Benches run the settle-cache's rank-k reuse path (the exact mode
         // exists for bit-exact golden traces; reuse is the production
         // default for throughput runs).
-        job.options.settle_mode = xbar::SettleMode::kReuse;
-        jobs.push_back(job);
+        options.hardware.crossbar.settle_mode = xbar::SettleMode::kReuse;
+        engine::BatchItem item;
+        item.problem = &problems[trial];
+        item.request.solver = "xbar";
+        item.request.xbar = options;
+        items.push_back(item);
         reference_objectives.push_back(references[trial].objective);
       }
-      const auto outcomes = solve_batch(std::span<const BatchJob>(jobs));
+      const auto outcomes = engine::solve_batch(items);
       std::vector<double> errors;
       for (std::size_t k = 0; k < outcomes.size(); ++k) {
         if (!outcomes[k].result.optimal()) {
@@ -84,11 +87,11 @@ int main() {
       if (m == config.sizes.back()) {
         run.metric("rel_error/var=" + bench::percent(variation),
                    bench::mean(errors), {"frac", true, /*measured=*/false});
-        std::vector<BatchJob> exact_jobs = jobs;
-        for (auto& job : exact_jobs)
-          job.options.settle_mode = xbar::SettleMode::kExact;
-        const auto exact_outcomes =
-            solve_batch(std::span<const BatchJob>(exact_jobs));
+        std::vector<engine::BatchItem> exact_items = items;
+        for (auto& item : exact_items)
+          item.request.xbar->hardware.crossbar.settle_mode =
+              xbar::SettleMode::kExact;
+        const auto exact_outcomes = engine::solve_batch(exact_items);
         std::vector<double> exact_errors;
         for (std::size_t k = 0; k < exact_outcomes.size(); ++k)
           if (exact_outcomes[k].result.optimal())

@@ -54,7 +54,7 @@ int main() {
         options.seed = config.seed + 1000 * m + trial;
         // Throughput benches run the settle-cache reuse path; exact mode is
         // reserved for bit-exact golden traces.
-        options.settle_mode = xbar::SettleMode::kReuse;
+        options.hardware.crossbar.settle_mode = xbar::SettleMode::kReuse;
         const auto outcome = core::solve_xbar_pdip(problem, options);
         if (outcome.result.optimal())
           xbar_ms[v].push_back(hardware.estimate(outcome.stats).latency_s *

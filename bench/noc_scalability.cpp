@@ -9,8 +9,8 @@
 
 #include "artifact.hpp"
 #include "bench_util.hpp"
-#include "core/batch.hpp"
 #include "core/xbar_pdip.hpp"
+#include "engine/batch.hpp"
 #include "lp/result.hpp"
 #include "perf/hardware_model.hpp"
 #include "solvers/simplex.hpp"
@@ -41,20 +41,22 @@ int main() {
   // The five tilings are independent solves of the same problem — fan them
   // out as one heterogeneous batch (MEMLP_THREADS workers).
   const std::vector<std::size_t> tile_dims{0, 128, 64, 32, 16};
-  std::vector<BatchJob> jobs;
+  std::vector<engine::BatchItem> items;
   for (const std::size_t tile_dim : tile_dims) {
-    BatchJob job;
-    job.problem = &problem;
-    job.options.hardware.crossbar.variation =
-        mem::VariationModel::uniform(0.10);
+    core::XbarPdipOptions options;
+    options.hardware.crossbar.variation = mem::VariationModel::uniform(0.10);
     if (tile_dim != 0) {
-      job.options.hardware.force_noc = true;
-      job.options.hardware.tile_dim = tile_dim;
+      options.hardware.force_noc = true;
+      options.hardware.tile_dim = tile_dim;
     }
-    job.options.seed = config.seed;
-    jobs.push_back(job);
+    options.seed = config.seed;
+    engine::BatchItem item;
+    item.problem = &problem;
+    item.request.solver = "xbar";
+    item.request.xbar = options;
+    items.push_back(item);
   }
-  const auto outcomes = solve_batch(std::span<const BatchJob>(jobs));
+  const auto outcomes = engine::solve_batch(items);
   for (std::size_t k = 0; k < outcomes.size(); ++k) {
     const std::size_t tile_dim = tile_dims[k];
     const auto& outcome = outcomes[k];

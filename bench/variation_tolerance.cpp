@@ -12,8 +12,8 @@
 
 #include "artifact.hpp"
 #include "bench_util.hpp"
-#include "core/batch.hpp"
 #include "core/xbar_pdip.hpp"
+#include "engine/batch.hpp"
 #include "lp/result.hpp"
 #include "memristor/variation.hpp"
 #include "solvers/simplex.hpp"
@@ -39,7 +39,7 @@ int main() {
     // solves. The crossbar solves are queued for a batched fan-out.
     std::vector<lp::LinearProgram> problems;
     problems.reserve(config.trials);
-    std::vector<BatchJob> jobs;
+    std::vector<engine::BatchItem> items;
     std::vector<double> reference_objectives;
     for (std::size_t trial = 0; trial < config.trials; ++trial) {
       problems.push_back(bench::feasible_problem(config, m, trial));
@@ -59,15 +59,17 @@ int main() {
                                                   reference.objective));
 
       // Crossbar solve of the original problem at the same variation level.
-      BatchJob job;
-      job.problem = &problem;
-      job.options.hardware.crossbar.variation =
+      engine::BatchItem item;
+      item.problem = &problem;
+      item.request.solver = "xbar";
+      item.request.xbar.emplace();
+      item.request.xbar->hardware.crossbar.variation =
           mem::VariationModel::uniform(0.10);
-      job.options.seed = config.seed + 1000 * m + trial;
-      jobs.push_back(job);
+      item.request.xbar->seed = config.seed + 1000 * m + trial;
+      items.push_back(item);
       reference_objectives.push_back(reference.objective);
     }
-    const auto outcomes = solve_batch(std::span<const BatchJob>(jobs));
+    const auto outcomes = engine::solve_batch(items);
     for (std::size_t k = 0; k < outcomes.size(); ++k)
       if (outcomes[k].result.optimal())
         xbar_errors.push_back(lp::relative_error(

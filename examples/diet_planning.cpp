@@ -1,14 +1,14 @@
 // Diet-planning example: the classic cost-minimization LP (Stigler) solved
 // end-to-end on the crossbar — generate, presolve, solve, verify, and save
-// the instance in the memlp text format for the `memlp_solve` CLI.
+// the instance as MPS for the `memlp_solve` CLI.
 #include <cstdio>
 #include <fstream>
 
 #include "common/rng.hpp"
 #include "core/xbar_pdip.hpp"
 #include "lp/generator.hpp"
+#include "lp/mps.hpp"
 #include "lp/presolve.hpp"
-#include "lp/text_format.hpp"
 #include "solvers/simplex.hpp"
 
 int main() {
@@ -53,10 +53,10 @@ int main() {
   for (double portion : portions) std::printf(" %.2f", portion);
   std::printf("\n");
 
-  // Round-trip through the text format (usable with tools/memlp_solve).
-  const char* path = "diet_example.lp";
+  // Save as MPS (usable with tools/memlp_solve).
+  const char* path = "diet_example.mps";
   std::ofstream file(path);
-  lp::write_text(file, problem);
+  file << lp::to_mps(problem, "DIET");
   std::printf("\ninstance written to %s — try:  memlp_solve --solver xbar "
               "%s\n",
               path, path);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "common/stopwatch.hpp"
 #include "linalg/ops.hpp"
 #include "obs/cost_ledger.hpp"
 #include "obs/flight_recorder.hpp"
@@ -388,6 +389,7 @@ XbarSolveOutcome solve_analog_pdip(const lp::LinearProgram& problem,
                                    const AnalogSolveSpec& spec,
                                    AnalogNewtonSystem& newton,
                                    obs::TraceSink* sink) {
+  const Stopwatch timer;
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
 
@@ -490,6 +492,9 @@ XbarSolveOutcome solve_analog_pdip(const lp::LinearProgram& problem,
 
   newton.collect_stats(out.stats);
   scaling.unscale(out.result);
+  // Host time simulating the solve, apart from the modelled hardware time.
+  // It stays out of the solve_summary event below, which is deterministic.
+  out.result.wall_seconds = timer.seconds();
 
   obs::flight_record(obs::FlightEventKind::kSolveEnd, spec.solver_name,
                      static_cast<double>(out.stats.iterations),

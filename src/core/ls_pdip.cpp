@@ -58,8 +58,7 @@ Matrix build_balanced_m1(const lp::LinearProgram& problem,
 }
 
 Matrix build_schur_m1(const lp::LinearProgram& problem,
-                      const PdipState& state, double ratio_cap,
-                      double corner_fill_scale, Rng* rng) {
+                      const PdipState& state, double ratio_cap) {
   problem.validate();
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
@@ -69,19 +68,6 @@ Matrix build_schur_m1(const lp::LinearProgram& problem,
     for (std::size_t j = 0; j < n; ++j) m1(i, j) = a(i, j);
   for (std::size_t j = 0; j < n; ++j)
     for (std::size_t i = 0; i < m; ++i) m1(m + j, n + i) = a(i, j);
-  if (corner_fill_scale > 0.0 && rng != nullptr) {
-    // The paper's "very small values" in the rest of RU/RL: a one-off random
-    // fill of the off-diagonal corner entries that keeps M1 non-singular
-    // when A has linearly dependent rows. Programmed once — never updated.
-    const double epsilon =
-        corner_fill_scale * std::max(mean_abs(problem.a), 1e-12);
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t k = 0; k < m; ++k)
-        if (i != k) m1(i, n + k) = epsilon * rng->uniform(0.5, 1.5);
-    for (std::size_t j = 0; j < n; ++j)
-      for (std::size_t k = 0; k < n; ++k)
-        if (j != k) m1(m + j, k) = epsilon * rng->uniform(0.5, 1.5);
-  }
   for (std::size_t i = 0; i < m; ++i)
     m1(i, n + i) = -std::min(state.w[i] / state.y[i], ratio_cap);
   for (std::size_t j = 0; j < n; ++j)
@@ -108,11 +94,9 @@ XbarSolveOutcome solve_ls_pdip(const lp::LinearProgram& original,
   Rng rng(options.seed);
   const bool schur = options.m1_mode == M1Mode::kSchurDiagonal;
   NegativeFreeSystem negfree1(
-      schur ? build_schur_m1(problem, PdipState::ones(n, m),
-                             options.ratio_cap, options.corner_fill_scale,
-                             &rng)
+      schur ? build_schur_m1(problem, PdipState::ones(n, m), options.ratio_cap)
             : build_balanced_m1(problem, options.balancing_scale,
-                                options.balancing_fill, rng));
+                                BalancingFill::kAuto, rng));
 
   // M1's corner diagonals span many decades, so its array uses per-cell
   // gain-ranged writes (see CrossbarConfig::per_cell_gain_ranging).

@@ -20,9 +20,8 @@
 //   X·∆z = µe − XZe − Z∘∆x,    Y·∆w = µe − YWe − W∘∆y,
 //
 // (the Z∘∆x / W∘∆y cross terms are computed by analog multipliers; dropping
-// them — the literal reading of Eq. 16b — is available as an ablation but
-// does not converge). θ is a constant (§3.4); positivity is maintained by a
-// small floor.
+// them — the literal reading of Eq. 16b — does not converge). θ is a
+// constant (§3.4); positivity is maintained by a small floor.
 //
 // Hardware notes (full discussion in DESIGN.md):
 //  * The A / Aᵀ blocks of M1 are programmed once per attempt; only the
@@ -82,19 +81,9 @@ struct LsPdipOptions {
   RecoveryMode recovery = RecoveryMode::kStable;
   /// Cap on the w_i/y_i and z_j/x_j corner-diagonal ratios.
   double ratio_cap = 1e3;
-  /// Magnitude (relative to mean |A|) of the small random values filled into
-  /// the OFF-diagonal corner entries in Schur mode — the paper's "very
-  /// small" RU/RL values, acting as a one-off regularization. Off by
-  /// default: it couples the primal/dual blocks, which blurs the
-  /// directional-divergence signature infeasibility detection relies on
-  /// (see bench/ablation_balancing).
-  double corner_fill_scale = 0.0;
-  /// Include the Z∘∆x / W∘∆y cross terms in the M2 right-hand side
-  /// (kM2Diagonal only). false = the paper's literal Eq. (16b).
-  bool exact_recovery = true;
   /// Magnitude of RU/RL in kLiteralBalanced mode, relative to mean |A|.
+  /// That mode fills the paper's blocks (BalancingFill::kAuto).
   double balancing_scale = 0.02;
-  BalancingFill balancing_fill = BalancingFill::kAuto;
   /// α of the final constraint check.
   double alpha = 1.05;
   double full_scale_headroom = 4.0;
@@ -117,10 +106,8 @@ Matrix build_balanced_m1(const lp::LinearProgram& problem,
                          Rng& rng);
 
 /// Builds the Schur-diagonal M1 base matrix for the given state (exposed for
-/// tests). `corner_fill_scale` > 0 adds the paper's small random values to
-/// the off-diagonal corner entries (regularization; needs `rng`).
+/// tests). The off-diagonal corner entries stay zero.
 Matrix build_schur_m1(const lp::LinearProgram& problem,
-                      const PdipState& state, double ratio_cap,
-                      double corner_fill_scale = 0.0, Rng* rng = nullptr);
+                      const PdipState& state, double ratio_cap);
 
 }  // namespace memlp::core

@@ -214,17 +214,15 @@ NewtonStep LsNewton::solve(const PdipState& state, double mu,
 
     // r2 = [µe; µe] − M2·[z; w] (the XZe / YWe products come from the M2
     // array itself), minus the Z∘∆x / W∘∆y cross terms from the analog
-    // multipliers when exact recovery is on.
+    // multipliers.
     const Vec s2 = concat({state.z, state.w});
     const Vec ms2 =
         backend2_.multiply(s2, AnalogBackend::IoBoundary::kInputOnly);
     Vec r2 = amps_.sub(Vec(n + m, mu), ms2);
-    if (options_.exact_recovery) {
-      const Vec zdx = amps_.multiply_elementwise(state.z, dx);
-      const Vec wdy = amps_.multiply_elementwise(state.w, dy);
-      const Vec cross = concat({zdx, wdy});
-      r2 = amps_.sub(r2, cross);
-    }
+    const Vec zdx = amps_.multiply_elementwise(state.z, dx);
+    const Vec wdy = amps_.multiply_elementwise(state.w, dy);
+    const Vec cross = concat({zdx, wdy});
+    r2 = amps_.sub(r2, cross);
     const auto ds2 =
         backend2_.solve(r2, AnalogBackend::IoBoundary::kOutputOnly);
     // The M2 system is diagonal: a failed settle means a broken array, never

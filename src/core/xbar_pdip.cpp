@@ -49,12 +49,8 @@ XbarSolveOutcome solve_with_context(const lp::LinearProgram& original,
     context.negfree.emplace(
         assemble_kkt(problem, PdipState::ones(layout.n, layout.m)));
     Rng rng(options.seed);
-    // options.settle_mode is authoritative over whatever the caller left in
-    // the nested crossbar config.
-    BackendOptions hardware = options.hardware;
-    hardware.crossbar.settle_mode = options.settle_mode;
     context.backend =
-        make_backend(hardware, context.negfree->dim(), rng.split());
+        make_backend(options.hardware, context.negfree->dim(), rng.split());
     context.a_scaled = problem.a;
     context.array_programmed = false;
     context.amps.reset_stats();

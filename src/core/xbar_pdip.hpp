@@ -37,15 +37,9 @@ struct XbarPdipOptions {
   /// solve reuses the already-programmed array, so it costs one extra
   /// analog settle per iteration and typically saves far more iterations.
   PdipOptions pdip{};
-  /// Hardware selection (device, variation, precision, NoC).
+  /// Hardware selection (device, variation, precision, NoC, and the
+  /// settle-simulation policy `crossbar.settle_mode`).
   BackendOptions hardware{};
-  /// Settle-simulation policy, copied over hardware.crossbar.settle_mode
-  /// when the backend is built (this field is authoritative). kExact keeps
-  /// the legacy bit-exact always-refactor simulation; kReuse patches the
-  /// cached factorization across the per-iteration diagonal rewrites
-  /// (Sherman–Morrison rank-k, see linalg/factor_cache.hpp) — same physics,
-  /// results differ only by factorization round-off.
-  xbar::SettleMode settle_mode = xbar::SettleMode::kExact;
   /// α of the final constraint check (close to but above 1, §3.2).
   double alpha = 1.05;
   /// Mapping headroom: crossbar full-scale = headroom × initial max |M|.

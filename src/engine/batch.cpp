@@ -1,13 +1,8 @@
-// Implements both batch front doors: the heterogeneous engine::solve_batch
-// and the legacy homogeneous core::solve_batch overloads (declared in
-// core/batch.hpp), which are shims that route through the registry's "xbar"
-// entry with their options carried verbatim.
 #include "engine/batch.hpp"
 
 #include "common/contracts.hpp"
 #include "common/par.hpp"
 #include "common/stopwatch.hpp"
-#include "core/batch.hpp"
 #include "obs/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -58,36 +53,3 @@ std::vector<SolveReport> solve_batch(std::span<const BatchItem> items,
 }
 
 }  // namespace memlp::engine
-
-namespace memlp::core {
-
-std::vector<XbarSolveOutcome> solve_batch(std::span<const BatchJob> jobs,
-                                          std::size_t threads) {
-  std::vector<engine::BatchItem> items(jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    MEMLP_EXPECT_MSG(jobs[i].problem != nullptr, "solve_batch: null problem");
-    items[i].problem = jobs[i].problem;
-    items[i].request.solver = "xbar";
-    items[i].request.xbar = jobs[i].options;
-  }
-  const std::vector<engine::SolveReport> reports =
-      engine::solve_batch(items, threads);
-  std::vector<XbarSolveOutcome> outcomes(jobs.size());
-  for (std::size_t i = 0; i < reports.size(); ++i)
-    outcomes[i] = {reports[i].result, reports[i].stats};
-  return outcomes;
-}
-
-std::vector<XbarSolveOutcome> solve_batch(
-    std::span<const lp::LinearProgram> problems, const BatchOptions& options) {
-  std::vector<BatchJob> jobs(problems.size());
-  for (std::size_t i = 0; i < problems.size(); ++i) {
-    jobs[i].problem = &problems[i];
-    jobs[i].options = options.base;
-    jobs[i].options.seed =
-        options.base.seed + static_cast<std::uint64_t>(i) * options.seed_stride;
-  }
-  return solve_batch(std::span<const BatchJob>(jobs), options.threads);
-}
-
-}  // namespace memlp::core

@@ -1,11 +1,15 @@
-// Heterogeneous batched solves over the registry: fan independent LP solves
-// — of ANY registered solver, mixed freely — across the memlp::par pool.
+// The batch front door: fan independent LP solves — of ANY registered
+// solver, mixed freely — across the memlp::par pool.
 //
-// Each item resolves its solver by name and owns its crossbar state and RNG
-// stream, so the fan-out is embarrassingly parallel and bit-identical at
+// The paper's evaluation (and any Monte-Carlo use of the simulator) solves
+// many independent LPs: accuracy sweeps over variation draws, tolerance
+// studies over random instances. Each item resolves its solver by name and
+// owns its crossbar state and RNG stream (its request carries its own
+// seed), so the fan-out is embarrassingly parallel and bit-identical at
 // every thread count: item i's report depends only on (problem i, request
-// i), never on scheduling. The homogeneous crossbar-only overloads of
-// core/batch.hpp are thin shims over this front door.
+// i), never on scheduling. Solver-level tracing and MetricsRegistry
+// counters are thread-safe, so a shared sink sees whole, untorn records
+// from concurrent solves.
 //
 // Tiled backends inside a batch run their per-tile loops inline (nested
 // parallel regions serialize, see common/par.hpp) — the batch level owns

@@ -15,8 +15,9 @@ struct SolveResult {
   Vec z;  ///< dual slacks (PDIP solvers).
   double objective = 0.0;
   std::size_t iterations = 0;  ///< PDIP iterations or simplex pivots.
-  /// Wall-clock of the solve, filled by *software* solvers only; hardware
-  /// solvers report estimated latency through perf::HardwareModel instead.
+  /// Host wall-clock of the solve, filled by every solver. For the crossbar
+  /// solvers it is the simulator's time; their modelled hardware latency
+  /// comes from perf::HardwareModel instead.
   double wall_seconds = 0.0;
 
   [[nodiscard]] bool optimal() const noexcept {

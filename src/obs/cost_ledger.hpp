@@ -38,7 +38,7 @@
 namespace memlp::obs {
 
 /// Integer operation counters attributed to one call path. Analog counters
-/// mirror the operands of `perf::HardwareModel::price`; `flops`/`bytes`
+/// are the operands of `perf::HardwareModel::price_counters`; `flops`/`bytes`
 /// count digital linear-algebra work and are reported unpriced.
 struct CostCounters {
   std::uint64_t settles = 0;        ///< analog MVM/solve/global settles.

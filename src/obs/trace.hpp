@@ -222,7 +222,9 @@ struct SolveSummary {
   std::string status;
   std::size_t iterations = 0;
   double objective = 0.0;
-  double wall_seconds = IterationRecord::kUnset;  ///< software solvers only.
+  /// Set by the software solvers only: the analog summaries stay
+  /// deterministic for a pinned seed.
+  double wall_seconds = IterationRecord::kUnset;
 
   [[nodiscard]] Event to_event() const;
 };

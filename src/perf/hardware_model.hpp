@@ -75,15 +75,11 @@ class HardwareModel {
     return constants_;
   }
 
-  /// Prices a raw backend counter set plus solver-level amps/iterations.
-  [[nodiscard]] CostEstimate price(const core::BackendStats& backend,
-                                   const xbar::AmplifierStats& amps,
-                                   std::size_t iterations) const;
-
-  /// Prices one cost-ledger counter set with the same constants. The
-  /// pricing is linear, so summing priced rows of a ledger tree equals
-  /// pricing the tree's total. Digital `flops`/`bytes` carry no analog
-  /// cost (the CPU baseline prices wall time, not operation counts).
+  /// Prices one cost-ledger counter set: the one pricing formula, which
+  /// estimate() and estimate_programming() also use. The pricing is linear,
+  /// so summing priced rows of a ledger tree equals pricing the tree's
+  /// total. Digital `flops`/`bytes` carry no analog cost (the CPU baseline
+  /// prices wall time, not operation counts).
   [[nodiscard]] CostEstimate price_counters(
       const obs::CostCounters& counters) const;
 

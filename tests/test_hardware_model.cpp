@@ -32,13 +32,13 @@ TEST(HardwareModel, PricesEachComponent) {
   constants.controller_iteration_s = 0.0;
   const HardwareModel model(constants);
 
-  core::BackendStats backend;
-  backend.xbar.mvm_ops = 2;
-  backend.xbar.cells_written = 3;
-  backend.xbar.write_pulses = 4;
-  xbar::AmplifierStats amps;
-  amps.vector_ops = 5;
-  const auto cost = model.price(backend, amps, 0);
+  // No programming record: estimate() prices every backend counter.
+  core::XbarSolveStats stats;
+  stats.backend.xbar.mvm_ops = 2;
+  stats.backend.xbar.cells_written = 3;
+  stats.backend.xbar.write_pulses = 4;
+  stats.amps.vector_ops = 5;
+  const auto cost = model.estimate(stats);
   EXPECT_DOUBLE_EQ(cost.latency_s, 2 * 1.0 + 3 * 10.0 + 4 * 100.0 + 5000.0);
 }
 
@@ -47,10 +47,12 @@ TEST(HardwareModel, EstimateExcludesProgramming) {
   const auto stats = make_stats();
   const auto iterative = model.estimate(stats);
   const auto programming = model.estimate_programming(stats);
-  // Totals decompose exactly: price(total) = iterative + programming for
-  // latency-additive counters (controller term only counts iterations once).
-  const auto total =
-      model.price(stats.backend, stats.amps, stats.iterations);
+  // Totals decompose exactly: pricing the whole record (no programming
+  // split) equals iterative + programming (the controller term only counts
+  // iterations once).
+  auto whole = stats;
+  whole.programming = {};
+  const auto total = model.estimate(whole);
   EXPECT_NEAR(iterative.latency_s + programming.latency_s, total.latency_s,
               1e-12);
   EXPECT_NEAR(iterative.energy_j + programming.energy_j, total.energy_j,

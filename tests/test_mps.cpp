@@ -164,6 +164,22 @@ TEST(MpsErrors, MissingObjectiveRow) {
   EXPECT_EQ(e.kind(), MpsError::Kind::kSection);
 }
 
+// TextFormat: properties every text problem file must keep, whatever its
+// syntax. An LP with no constraint rows is rejected with a typed error.
+TEST(TextFormat, RejectsEmptyConstraintSet) {
+  std::istringstream in(
+      "NAME NOROWS\n"
+      "ROWS\n"
+      " N COST\n"
+      "COLUMNS\n"
+      " X1 COST 1.0\n"
+      "ENDATA\n");
+  const MpsError e = expect_mps_error([&] { read_mps(in, "norows.mps"); });
+  EXPECT_EQ(e.kind(), MpsError::Kind::kSection);
+  EXPECT_NE(std::string(e.what()).find("no constraint rows"),
+            std::string::npos);
+}
+
 TEST(MpsErrors, DataLineOutsideSection) {
   std::istringstream in(
       "NAME STRAY\n"
@@ -195,6 +211,16 @@ TEST(MpsRoundTrip, RandomFeasible) {
   options.constraints = 12;
   options.sparsity = 0.5;
   expect_round_trip(random_feasible(options, rng));
+}
+
+// Negative and fractional values survive the text round trip exactly, in
+// A, b and c.
+TEST(TextFormat, PreservesNegativeAndFractionalValues) {
+  LinearProgram signs;
+  signs.a = Matrix{{-1.5, 0.25}, {1e-7, -3.14159265358979}};
+  signs.b = {-2.5, 1e6};
+  signs.c = {0.1, -0.2};
+  expect_round_trip(signs);
 }
 
 TEST(MpsRoundTrip, MultiCommodityFlow) {

@@ -17,8 +17,8 @@
 
 #include "common/par.hpp"
 #include "common/rng.hpp"
-#include "core/batch.hpp"
 #include "core/xbar_pdip.hpp"
+#include "engine/batch.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/ops.hpp"
 #include "lp/generator.hpp"
@@ -235,18 +235,31 @@ core::XbarPdipOptions batch_base_options() {
   return base;
 }
 
+/// One crossbar item per problem; problem i solves with seed base.seed + i,
+/// so every solve draws its own hardware variation and noise.
+std::vector<engine::BatchItem> batch_items(
+    const std::vector<lp::LinearProgram>& problems,
+    const core::XbarPdipOptions& base) {
+  std::vector<engine::BatchItem> items(problems.size());
+  for (std::size_t i = 0; i < problems.size(); ++i) {
+    items[i].problem = &problems[i];
+    items[i].request.solver = "xbar";
+    items[i].request.xbar = base;
+    items[i].request.xbar->seed = base.seed + i;
+  }
+  return items;
+}
+
 TEST(BatchPar, MatchesSerialSolveLoopBitwise) {
   const auto problems = batch_problems(8);
-  core::BatchOptions options;
-  options.base = batch_base_options();
-  options.threads = 4;
+  const core::XbarPdipOptions base = batch_base_options();
 
   const auto batched =
-      solve_batch(std::span<const lp::LinearProgram>(problems), options);
+      engine::solve_batch(batch_items(problems, base), /*threads=*/4);
   ASSERT_EQ(batched.size(), problems.size());
   for (std::size_t i = 0; i < problems.size(); ++i) {
-    core::XbarPdipOptions single = options.base;
-    single.seed = options.base.seed + i;  // the batch's seed stride
+    core::XbarPdipOptions single = base;
+    single.seed = base.seed + i;  // the items' seed stride
     const auto serial = core::solve_xbar_pdip(problems[i], single);
     EXPECT_EQ(serial.result.status, batched[i].result.status);
     EXPECT_EQ(serial.result.iterations, batched[i].result.iterations);
@@ -266,16 +279,10 @@ TEST(BatchPar, MatchesSerialSolveLoopBitwise) {
 
 TEST(BatchPar, BitIdenticalAcrossThreadCounts) {
   const auto problems = batch_problems(8);
-  core::BatchOptions serial_options;
-  serial_options.base = batch_base_options();
-  serial_options.threads = 1;
-  core::BatchOptions parallel_options = serial_options;
-  parallel_options.threads = 4;
+  const auto items = batch_items(problems, batch_base_options());
 
-  const auto r1 =
-      solve_batch(std::span<const lp::LinearProgram>(problems), serial_options);
-  const auto r4 = solve_batch(std::span<const lp::LinearProgram>(problems),
-                              parallel_options);
+  const auto r1 = engine::solve_batch(items, /*threads=*/1);
+  const auto r4 = engine::solve_batch(items, /*threads=*/4);
   ASSERT_EQ(r1.size(), r4.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
     EXPECT_EQ(r1[i].result.status, r4[i].result.status);
@@ -295,13 +302,11 @@ TEST(BatchPar, SharedJsonlSinkDeliversWholeLines) {
   {
     obs::JsonlTraceSink sink(path);
     ASSERT_TRUE(sink.ok());
-    core::BatchOptions options;
-    options.base = batch_base_options();
-    options.base.pdip.trace = &sink;
-    options.threads = 4;
+    core::XbarPdipOptions base = batch_base_options();
+    base.pdip.trace = &sink;
     const auto problems = batch_problems(8);
     const auto outcomes =
-        solve_batch(std::span<const lp::LinearProgram>(problems), options);
+        engine::solve_batch(batch_items(problems, base), /*threads=*/4);
     ASSERT_EQ(outcomes.size(), problems.size());
     sink.flush();
   }
@@ -337,11 +342,8 @@ TEST(BatchPar, MetricsCountersExactUnderConcurrency) {
   const auto problems_before = registry.counter("batch.problems").value();
   const auto solves_before = registry.counter("xbar.solves").value();
   const auto problems = batch_problems(8);
-  core::BatchOptions options;
-  options.base = batch_base_options();
-  options.threads = 4;
-  const auto outcomes =
-      solve_batch(std::span<const lp::LinearProgram>(problems), options);
+  const auto outcomes = engine::solve_batch(
+      batch_items(problems, batch_base_options()), /*threads=*/4);
   ASSERT_EQ(outcomes.size(), 8u);
   EXPECT_EQ(registry.counter("batch.problems").value() - problems_before, 8u);
   EXPECT_EQ(registry.counter("xbar.solves").value() - solves_before, 8u);

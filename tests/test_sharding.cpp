@@ -23,7 +23,7 @@ XbarPdipOptions sharded_ideal_hardware() {
   options.hardware.force_noc = true;
   options.hardware.tile_dim = 128;
   // Factorization reuse keeps the >1000-dim settle simulation affordable.
-  options.settle_mode = xbar::SettleMode::kReuse;
+  options.hardware.crossbar.settle_mode = xbar::SettleMode::kReuse;
   return options;
 }
 

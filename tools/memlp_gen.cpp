@@ -1,6 +1,6 @@
-// memlp_gen — LP instance generator over the memlp text format.
+// memlp_gen — LP instance generator writing MPS.
 //
-//   memlp_gen [options] > problem.lp
+//   memlp_gen [options] > problem.mps
 //
 //   --kind feasible|infeasible|maxflow|scheduling|transportation|diet|
 //          assignment                      (default feasible)
@@ -9,7 +9,8 @@
 //                      suppliers/consumers, foods/nutrients, workers/tasks)
 //   --seed <n>         generator seed (default 1)
 //
-// Emits the instance on stdout; pipe into memlp_solve:
+// Emits the instance on stdout as MPS (OBJSENSE MAX, full precision, so the
+// solver reads back exactly the generated problem); pipe into memlp_solve:
 //   memlp_gen --kind maxflow --size 3 4 | memlp_solve --solver xbar -
 #include <cstdio>
 #include <cstring>
@@ -18,7 +19,7 @@
 
 #include "common/rng.hpp"
 #include "lp/generator.hpp"
-#include "lp/text_format.hpp"
+#include "lp/mps.hpp"
 
 namespace {
 
@@ -96,6 +97,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
-  memlp::lp::write_text(std::cout, problem);
+  std::cout << memlp::lp::to_mps(problem);
   return 0;
 }

@@ -1,16 +1,11 @@
-// memlp_solve — command-line LP solver over the memlp text format.
+// memlp_solve — command-line LP solver over MPS problem files.
 //
-//   memlp_solve [options] <problem.lp | ->
+//   memlp_solve [options] <problem.mps | ->
 //
 //   --solver <name>                 any solver registered in the
 //                                   memlp::engine registry (default xbar;
 //                                   built-ins: simplex, pdip, xbar, ls —
 //                                   a bad name lists what is registered)
-//   --mps                           read the problem as MPS (fixed or free
-//                                   format, RANGES/BOUNDS) instead of the
-//                                   memlp text format; the objective is
-//                                   reported in the file's own sense
-//                                   (MINIMIZE by default)
 //   --variation <fraction>          process-variation level (default 0.10)
 //   --seed <n>                      hardware seed (default 42)
 //   --tile-dim <n>                  force the NoC with this tile size
@@ -34,23 +29,23 @@
 //                                   with tools/memlp_top)
 //   --quiet                         print only the objective value
 //
-// Reads the problem from a file (or stdin with "-"), solves it, prints the
-// status, objective, solution vector, and — for the crossbar solvers — the
-// hardware operation record and latency/energy estimates. Exits 0 only when
-// the solve reached a verified optimum (2 on usage/parse errors).
+// Reads an MPS problem (fixed or free format, RANGES/BOUNDS) from a file, or
+// from stdin with "-", solves it, prints the status, the objective in the
+// file's own sense (MINIMIZE by default), the solution vector, the host wall
+// time, and — for the crossbar solvers — the hardware operation record with
+// its modelled latency/energy headline (iterative phase plus one-off
+// programming, together the --cost TOTAL). Exits 0 only when the solve
+// reached a verified optimum (2 on usage/parse errors).
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "engine/registry.hpp"
 #include "lp/mps.hpp"
-#include "lp/text_format.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/cost_ledger.hpp"
 #include "obs/profiler.hpp"
@@ -63,11 +58,11 @@ namespace {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: memlp_solve [--solver name] [--mps] "
+               "usage: memlp_solve [--solver name] "
                "[--variation f] [--seed n] [--tile-dim n] "
                "[--max-iterations n] [--trace path] "
                "[--convergence] [--profile] [--cost] [--chrome-trace path] "
-               "[--metrics-out path] [--quiet] <problem.lp | ->\n");
+               "[--metrics-out path] [--quiet] <problem.mps | ->\n");
 }
 
 /// Comma-joined names of every registered solver (for the bad-name path).
@@ -136,7 +131,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   std::size_t tile_dim = 0;
   std::size_t max_iterations = 0;  // 0 = solver default.
-  bool mps = false;
   bool quiet = false;
   bool convergence = false;
   bool profile = false;
@@ -156,8 +150,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--solver") {
       solver = next();
-    } else if (arg == "--mps") {
-      mps = true;
     } else if (arg == "--variation") {
       variation = std::stod(next());
     } else if (arg == "--seed") {
@@ -247,34 +239,15 @@ int main(int argc, char** argv) {
     memlp::obs::CostLedger::set_active(ledger.get());
   }
 
-  memlp::lp::LinearProgram problem;
-  std::unique_ptr<memlp::lp::MpsModel> mps_model;
+  memlp::lp::MpsModel model;
   try {
-    if (mps) {
-      if (path == "-") {
-        mps_model = std::make_unique<memlp::lp::MpsModel>(
-            memlp::lp::read_mps(std::cin, "<stdin>"));
-      } else {
-        mps_model = std::make_unique<memlp::lp::MpsModel>(
-            memlp::lp::read_mps_file(path));
-      }
-      problem = mps_model->problem;
-    } else if (path == "-") {
-      std::stringstream buffer;
-      buffer << std::cin.rdbuf();
-      problem = memlp::lp::from_text(buffer.str());
-    } else {
-      std::ifstream file(path);
-      if (!file) {
-        std::fprintf(stderr, "cannot open %s\n", path.c_str());
-        return 2;
-      }
-      problem = memlp::lp::read_text(file);
-    }
+    model = path == "-" ? memlp::lp::read_mps(std::cin, "<stdin>")
+                        : memlp::lp::read_mps_file(path);
   } catch (const memlp::Error& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
+  const memlp::lp::LinearProgram& problem = model.problem;
 
   if (!quiet)
     std::printf("problem:    %zu constraints, %zu variables\n",
@@ -299,21 +272,25 @@ int main(int argc, char** argv) {
   const memlp::engine::SolveReport report =
       memlp::engine::solve(problem, request);
   memlp::lp::SolveResult result = report.result;
-  // MPS input: report the objective in the file's own sense (a MINIMIZE
-  // file shows its minimum, not the canonical-max negation).
-  if (mps_model != nullptr && result.optimal())
-    result.objective = mps_model->original_objective(result.x);
+  // Report the objective in the file's own sense (a MINIMIZE file shows its
+  // minimum, not the canonical-max negation).
+  if (result.optimal()) result.objective = model.original_objective(result.x);
   print_result(result, quiet);
   if (!quiet && result.optimal() && report.has_hardware_stats) {
+    // One modelled headline: the iterative phase (Figs. 6/7) plus the
+    // one-off array programming; their energies sum to the --cost TOTAL.
     const memlp::perf::HardwareModel hardware;
-    const auto estimate = hardware.estimate(report.stats);
+    const auto iterative = hardware.estimate(report.stats);
+    const auto programming = hardware.estimate_programming(report.stats);
     std::printf("hardware:   %zux%zu system, %zu cells written, "
-                "%zu settles, est. %.3f ms / %.3f mJ\n",
+                "%zu settles, est. iterative %.3f ms / %.3f mJ + "
+                "programming %.3f mJ\n",
                 report.stats.system_dim, report.stats.system_dim,
                 report.stats.backend.xbar.cells_written,
                 report.stats.backend.xbar.mvm_ops +
                     report.stats.backend.xbar.solve_ops,
-                estimate.latency_s * 1e3, estimate.energy_j * 1e3);
+                iterative.latency_s * 1e3, iterative.energy_j * 1e3,
+                programming.energy_j * 1e3);
   }
 
   if (convergence) print_convergence(*memory_sink);
