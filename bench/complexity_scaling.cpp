@@ -70,8 +70,7 @@ int main() {
   const perf::HardwareModel hardware;
   TextTable table("per-iteration cost vs N = n + m");
   table.set_header({"m", "N", "LU [ms]", "GS sweep [ms]", "xbar cells/iter",
-                    "xbar settles/iter", "settle exact [ms]",
-                    "settle reuse [ms]", "settle speedup",
+                    "xbar settles/iter", "settle [ms]",
                     "program [ms] (one-off)"});
 
   for (const std::size_t m : config.sizes) {
@@ -101,30 +100,17 @@ int main() {
     const double gs_ms = gs_timer.millis();
 
     // Crossbar solver: counted per-iteration writes and settles, plus the
-    // simulated settle cost in both settle modes — `exact` re-factors the
-    // effective matrix whenever a conductance actually changed (bit-exact
-    // with the paper-faithful baseline); `reuse` patches the cached factor
-    // with the rank-k correction instead.
+    // simulated settle cost (the effective matrix is re-factored whenever a
+    // conductance actually changed).
     core::XbarPdipOptions options;
     options.seed = config.seed + m;
-    options.hardware.crossbar.settle_mode = xbar::SettleMode::kExact;
-    const double exact_wall_before_s = settle_wall_seconds();
-    const auto exact_flops_before = settle_flops(run.ledger().tree());
+    const double settle_wall_before_s = settle_wall_seconds();
+    const auto settle_flops_before = settle_flops(run.ledger().tree());
     const auto outcome = core::solve_xbar_pdip(problem, options);
-    const double exact_settle_ms =
-        (settle_wall_seconds() - exact_wall_before_s) * 1e3;
-    const auto exact_settle_flops =
-        settle_flops(run.ledger().tree()) - exact_flops_before;
-
-    core::XbarPdipOptions reuse_options = options;
-    reuse_options.hardware.crossbar.settle_mode = xbar::SettleMode::kReuse;
-    const double reuse_wall_before_s = settle_wall_seconds();
-    const auto reuse_flops_before = settle_flops(run.ledger().tree());
-    const auto reuse_outcome = core::solve_xbar_pdip(problem, reuse_options);
-    const double reuse_settle_ms =
-        (settle_wall_seconds() - reuse_wall_before_s) * 1e3;
-    const auto reuse_settle_flops =
-        settle_flops(run.ledger().tree()) - reuse_flops_before;
+    const double settle_ms =
+        (settle_wall_seconds() - settle_wall_before_s) * 1e3;
+    const auto settle_flops_total =
+        settle_flops(run.ledger().tree()) - settle_flops_before;
 
     double cells_per_iteration = 0.0;
     double settles_per_iteration = 0.0;
@@ -141,53 +127,29 @@ int main() {
           static_cast<double>(outcome.stats.iterations);
       program_ms = hardware.estimate_programming(outcome.stats).latency_s * 1e3;
     }
-    const double settle_speedup =
-        reuse_settle_ms > 0.0 ? exact_settle_ms / reuse_settle_ms : 0.0;
 
     table.add_row({TextTable::num((long long)m),
                    TextTable::num((long long)layout.dim()),
                    TextTable::num(lu_ms, 4), TextTable::num(gs_ms, 4),
                    TextTable::num(cells_per_iteration, 4),
                    TextTable::num(settles_per_iteration, 3),
-                   TextTable::num(exact_settle_ms, 4),
-                   TextTable::num(reuse_settle_ms, 4),
-                   TextTable::num(settle_speedup, 3) + "x",
+                   TextTable::num(settle_ms, 4),
                    TextTable::num(program_ms, 4)});
-    // Regression metrics at the sweep's largest size: the settle-reuse
-    // speedup is the headline (wall clocks are measured/noisy; the flop
-    // counts are exact ledger counters and get tight thresholds).
+    // Regression metrics at the sweep's largest size (wall clocks are
+    // measured/noisy; the flop and factorization counts are exact ledger
+    // and cache counters and get tight thresholds). The `/exact` suffix
+    // keeps the metric names of earlier artifacts comparable.
     if (m == config.sizes.back()) {
-      run.metric("settle_wall_ms/exact", exact_settle_ms,
+      run.metric("settle_wall_ms/exact", settle_ms,
                  {"ms", true, /*measured=*/true});
-      run.metric("settle_wall_ms/reuse", reuse_settle_ms,
-                 {"ms", true, /*measured=*/true});
-      run.metric("settle_speedup", settle_speedup,
-                 {"x", /*lower_is_better=*/false, /*measured=*/true});
       run.metric("settle_flops/exact",
-                 static_cast<double>(exact_settle_flops),
+                 static_cast<double>(settle_flops_total),
                  {"flops", true, /*measured=*/false});
-      run.metric("settle_flops/reuse",
-                 static_cast<double>(reuse_settle_flops),
-                 {"flops", true, /*measured=*/false});
-      run.metric("settle_flops_ratio",
-                 reuse_settle_flops > 0
-                     ? static_cast<double>(exact_settle_flops) /
-                           static_cast<double>(reuse_settle_flops)
-                     : 0.0,
-                 {"x", /*lower_is_better=*/false, /*measured=*/false});
-      // Deterministic cache counters: how many O(N³) factorizations each
-      // mode actually paid for across the whole solve.
-      const auto& exact_cache = outcome.stats.backend.settle_cache;
-      const auto& reuse_cache = reuse_outcome.stats.backend.settle_cache;
+      // How many O(N³) factorizations the whole solve paid for.
       run.metric("settle_full_factorizations/exact",
-                 static_cast<double>(exact_cache.full_factorizations),
+                 static_cast<double>(
+                     outcome.stats.backend.settle_cache.full_factorizations),
                  {"count", true, /*measured=*/false});
-      run.metric("settle_full_factorizations/reuse",
-                 static_cast<double>(reuse_cache.full_factorizations),
-                 {"count", true, /*measured=*/false});
-      run.metric("settle_incremental_updates/reuse",
-                 static_cast<double>(reuse_cache.incremental_updates),
-                 {"count", /*lower_is_better=*/false, /*measured=*/false});
     }
     std::fflush(stdout);
   }

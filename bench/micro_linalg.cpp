@@ -8,7 +8,6 @@
 #include <cstdint>
 
 #include "common/rng.hpp"
-#include "linalg/factor_cache.hpp"
 #include "linalg/iterative.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/ops.hpp"
@@ -126,56 +125,6 @@ void BM_SchurAssemblyDense(benchmark::State& state) {
 }
 BENCHMARK(BM_SchurAssemblyDense)
     ->ArgsProduct({{96, 192, 384}, {5, 25, 100}})
-    ->Complexity();
-
-void BM_LuSolveMany(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto nrhs = static_cast<std::size_t>(state.range(1));
-  Rng rng(4);
-  const Matrix a = random_matrix(n, rng, true);
-  const LuFactorization lu(a);
-  Matrix b(n, nrhs);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < nrhs; ++j) b(i, j) = rng.normal();
-  for (auto _ : state) benchmark::DoNotOptimize(lu.solve_many(b));
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_LuSolveMany)
-    ->ArgsProduct({{64, 128, 256}, {1, 8, 32}})
-    ->Complexity();
-
-// The PDIP settle pattern: a diagonal band of the matrix mutates every
-// iteration, and each iteration does one prepare() + one solve(). Contrasts
-// the full-refactor path (incremental=0) against the rank-k reuse path
-// (incremental=1) at the settle-cache's crossbar tuning.
-void BM_FactorCacheSettle(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const bool incremental = state.range(1) != 0;
-  Rng rng(5);
-  Matrix a = random_matrix(n, rng, true);
-  Vec b(n);
-  for (double& v : b) v = rng.normal();
-  FactorCacheOptions options;
-  options.incremental = incremental;
-  options.iterative_refinement = false;
-  options.refresh_interval = 64;
-  FactorizationCache cache(options);
-  const std::size_t band = n / 4;  // dirty rows per "iteration"
-  std::size_t step = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < band; ++i) {
-      const std::size_t r = (step + i) % n;
-      a(r, r) += 1.0 / static_cast<double>(n + step + i);
-      cache.note_row(r);
-    }
-    ++step;
-    if (!cache.prepare(a)) state.SkipWithError("singular prepare");
-    benchmark::DoNotOptimize(cache.solve(b));
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_FactorCacheSettle)
-    ->ArgsProduct({{64, 128, 256}, {0, 1}})
     ->Complexity();
 
 void BM_GaussSeidelSweep(benchmark::State& state) {

@@ -507,9 +507,8 @@ XbarSolveOutcome solve_analog_pdip(const lp::LinearProgram& problem,
   // iterations; a solve where full refactorizations dominate its prepares
   // paid O(N³) almost every iteration and deserves a health flag.
   const auto& cache = out.stats.backend.settle_cache;
-  const std::uint64_t prepares = cache.full_factorizations +
-                                 cache.incremental_updates +
-                                 cache.prepare_hits;
+  const std::uint64_t prepares =
+      cache.full_factorizations + cache.prepare_hits;
   if (cache.full_factorizations > 8 && cache.full_factorizations * 2 > prepares)
     obs::HealthMonitor::global().report(
         obs::Anomaly::kSettleCacheThrash, spec.solver_name, sink,

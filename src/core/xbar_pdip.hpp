@@ -37,8 +37,7 @@ struct XbarPdipOptions {
   /// solve reuses the already-programmed array, so it costs one extra
   /// analog settle per iteration and typically saves far more iterations.
   PdipOptions pdip{};
-  /// Hardware selection (device, variation, precision, NoC, and the
-  /// settle-simulation policy `crossbar.settle_mode`).
+  /// Hardware selection (device, variation, precision, NoC).
   BackendOptions hardware{};
   /// α of the final constraint check (close to but above 1, §3.2).
   double alpha = 1.05;

@@ -67,20 +67,11 @@ CrossbarStats CrossbarStats::since(const CrossbarStats& earlier) const noexcept 
   return d;
 }
 
-FactorCacheOptions settle_cache_options(SettleMode mode) {
-  FactorCacheOptions options;
-  options.incremental = mode == SettleMode::kReuse;
-  options.iterative_refinement = false;
-  options.refresh_interval = 64;
-  return options;
-}
-
 Crossbar::Crossbar(CrossbarConfig config, Rng rng)
     : config_(config),
       rng_(rng),
       programming_(config.device, config.conductance_levels),
-      io_(config.io_bits),
-      settle_cache_(settle_cache_options(config.settle_mode)) {
+      io_(config.io_bits) {
   config_.validate();
 }
 
@@ -204,11 +195,12 @@ std::size_t Crossbar::apply_updates(std::span<const CellUpdate> updates) {
     if (write_cell(u.row, u.col, u.value, /*force=*/false)) {
       ++changed;
       // Precise invalidation: only a cell whose programmed level actually
-      // changed can move the effective matrix, so only then does the settle
-      // cache hear about its row. A no-op rewrite (same quantized level, the
+      // changed can move the effective matrix (its own value and, through
+      // half-select disturb, its row and column), so only then is the
+      // settle cache dropped. A no-op rewrite (same quantized level, the
       // common case for slowly-moving PDIP diagonals) keeps the cached
       // factorization fully valid.
-      settle_cache_.note_row(u.row);
+      settle_cache_.invalidate();
       apply_half_select_disturb(u.row, u.col);
     }
   }
@@ -302,9 +294,6 @@ void Crossbar::apply_half_select_disturb(std::size_t r, std::size_t c) {
     if (j != c) nudge(r, j);
   for (std::size_t i = 0; i < rows(); ++i)
     if (i != r) nudge(i, c);
-  // Disturb smears across a whole row and column — too wide a dirty set for
-  // a rank-k patch, so the next settle fully re-factors.
-  settle_cache_.note_all();
 }
 
 void Crossbar::apply_sense_divider(Vec& out, bool transposed) const {

@@ -46,26 +46,6 @@
 
 namespace memlp::xbar {
 
-/// How the simulator models the analog solve settle.
-enum class SettleMode {
-  /// Re-factor the effective matrix whenever any cell changed — the legacy
-  /// bit-exact behavior (golden traces are pinned to it).
-  kExact,
-  /// Reuse the cached factorization across settles: per-iteration diagonal
-  /// rewrites become a rank-k Sherman–Morrison correction, with a full
-  /// refactor fallback (see linalg/factor_cache.hpp). Results differ from
-  /// kExact only by factorization round-off.
-  kReuse,
-};
-
-/// Settle-cache tuning for an analog array in the given mode. The readout
-/// of a settle is bounded by read noise and ADC quantization — far above
-/// the rank-k correction's round-off — so the per-solve iterative
-/// refinement step (two extra O(N²) passes per settle) buys precision the
-/// physics cannot observe and is disabled; a generous refresh interval
-/// bounds correction drift instead.
-[[nodiscard]] FactorCacheOptions settle_cache_options(SettleMode mode);
-
 /// One cell rewrite of a batched update (see Crossbar::update_cells).
 struct CellUpdate {
   std::size_t row = 0;
@@ -115,11 +95,6 @@ struct CrossbarConfig {
   /// periphery per cell; the default (false) is the paper's plain
   /// globally-mapped array. Requires compensate_sense_divider.
   bool per_cell_gain_ranging = false;
-  /// Settle-simulation policy for solve(): kExact (default) re-factors the
-  /// effective array whenever it changed; kReuse patches the cached
-  /// factorization with the dirty rows (Sherman–Morrison rank-k) and falls
-  /// back to a full LU when the update is large or ill-conditioned.
-  SettleMode settle_mode = SettleMode::kExact;
 
   void validate() const;
 };
@@ -189,11 +164,12 @@ class Crossbar {
   /// Rewrites a batch of scattered cells in one pass — the per-PDIP-iteration
   /// diagonal refresh path. Semantically each entry behaves like
   /// update_cell(), but pulse/cell accounting is aggregated into a single
-  /// ledger charge and the settle cache is notified once per actually-changed
-  /// cell. Returns the number of cells whose programmed level changed.
+  /// ledger charge and the settle cache is dropped only when some cell
+  /// actually changed. Returns the number of cells whose programmed level
+  /// changed.
   std::size_t update_cells(std::span<const CellUpdate> updates);
 
-  /// Settle-cache behavior counters (full refactors vs incremental patches).
+  /// Settle-cache behavior counters (full refactors vs reused factors).
   [[nodiscard]] const FactorCacheStats& settle_cache_stats() const noexcept {
     return settle_cache_.stats();
   }
@@ -246,8 +222,8 @@ class Crossbar {
   bool write_cell(std::size_t r, std::size_t c, double value, bool force);
 
   /// Shared core of update_block/update_cells: applies the updates (bounds
-  /// already checked, full-scale already covers them), notifies the settle
-  /// cache per changed cell, and charges the aggregated write cost once.
+  /// already checked, full-scale already covers them), drops the settle
+  /// cache when a cell changed, and charges the aggregated write cost once.
   /// Returns the number of cells whose programmed level changed.
   std::size_t apply_updates(std::span<const CellUpdate> updates);
 
@@ -280,9 +256,8 @@ class Crossbar {
   double slope_ = 0.0;       // (g_max-g_min)/a_max
 
   CrossbarStats stats_;
-  /// Caches the effective-matrix factorization across settles. Exact mode
-  /// re-factors only when a write really changed a cell; reuse mode patches
-  /// the cached factor with the dirty rows (see linalg/factor_cache.hpp).
+  /// Caches the effective-matrix factorization across settles; re-factors
+  /// only after a write really changed a cell (linalg/factor_cache.hpp).
   FactorizationCache settle_cache_;
 };
 

@@ -1,207 +1,30 @@
 #include "linalg/factor_cache.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/contracts.hpp"
-#include "linalg/ops.hpp"
-#include "obs/cost_ledger.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace memlp {
 
-void FactorizationCache::invalidate() {
-  base_.reset();
-  reference_ = Matrix();
-  current_ = Matrix();
-  tracked_rows_.clear();
-  z_ = Matrix();
-  deltas_.clear();
-  correction_.reset();
-  correction_active_ = false;
-  dirty_rows_.clear();
-  dirty_all_ = true;
-  updates_since_full_ = 0;
-}
-
-void FactorizationCache::note_row(std::size_t r) {
-  if (dirty_all_) return;
-  dirty_rows_.push_back(r);
-}
-
-void FactorizationCache::note_all() {
-  dirty_all_ = true;
-  dirty_rows_.clear();
-}
-
-bool FactorizationCache::full_refactor(const Matrix& a) {
-  base_.emplace(a);  // charges its own closed-form flops  // memlint:allow(R9): full refactor is the amortized slow path the cache exists to avoid
-  tracked_rows_.clear();
-  z_ = Matrix();
-  deltas_.clear();
-  correction_.reset();
-  correction_active_ = false;
-  dirty_rows_.clear();
-  dirty_all_ = false;
-  updates_since_full_ = 0;
-  // The reference copy exists only to diff future dirty rows against; the
-  // bit-exact non-incremental path never reads it.
-  if (options_.incremental) {
-    reference_ = a;
-    // current_ only feeds refinement residuals; skip the O(N²) copy per
-    // prepare when refinement is off.
-    if (options_.iterative_refinement) current_ = a;
-  }
-  ++stats_.full_factorizations;
-  obs::flight_record(obs::FlightEventKind::kCacheRefresh, "settle_cache",
-                     static_cast<double>(stats_.full_factorizations));
-  return !base_->singular();
-}
-
 // memlint:hot — per-iteration KKT (re)factorization entry.
 bool FactorizationCache::prepare(const Matrix& a) {
   MEMLP_EXPECT_MSG(a.square(), "FactorizationCache: matrix must be square");
-  const std::size_t n = a.rows();
-  if (base_ && base_->size() != n) invalidate();
-  if (base_ && !dirty_all_ && dirty_rows_.empty()) {
+  if (lu_ && lu_->size() == a.rows()) {
     ++stats_.prepare_hits;
-    return !base_->singular();
+    return !lu_->singular();
   }
-  if (!options_.incremental || dirty_all_ || !base_ || base_->singular() ||
-      updates_since_full_ >= options_.refresh_interval)
-    return full_refactor(a);
-
-  // Merge the noted rows into the tracked set. Positions are typically
-  // stable across iterations (the PDIP state diagonals), so Z columns built
-  // for earlier prepares stay valid and only genuinely new rows solve.
-  std::sort(dirty_rows_.begin(), dirty_rows_.end());
-  dirty_rows_.erase(std::unique(dirty_rows_.begin(), dirty_rows_.end()),
-                    dirty_rows_.end());
-  std::vector<std::size_t> fresh;
-  for (const std::size_t r : dirty_rows_) {
-    MEMLP_EXPECT(r < n);
-    if (std::find(tracked_rows_.begin(), tracked_rows_.end(), r) ==
-        tracked_rows_.end())
-      fresh.push_back(r);  // memlint:allow(R9): refresh-only bookkeeping, amortized across iterations
-  }
-  const std::size_t k = tracked_rows_.size() + fresh.size();
-  if (static_cast<double>(k) >
-      options_.max_dirty_fraction * static_cast<double>(n)) {
-    ++stats_.fallbacks;
-    return full_refactor(a);
-  }
-  if (!fresh.empty()) {
-    // Z gains one column per new dirty row: Z_j = A₀⁻¹ e_r, solved for all
-    // new rows in one multi-RHS substitution pass.
-    Matrix rhs(n, fresh.size());  // memlint:allow(R9): multi-RHS buffer built only when new dirty rows appear
-    for (std::size_t j = 0; j < fresh.size(); ++j) rhs(fresh[j], j) = 1.0;
-    const Matrix z_new = base_->solve_many(rhs);
-    Matrix z(n, k);  // memlint:allow(R9): Z grows on refresh only, never per solve
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto old_row = z_.empty() ? std::span<const double>{} : z_.row(i);
-      auto row = z.row(i);
-      std::copy(old_row.begin(), old_row.end(), row.begin());
-      const auto new_row = z_new.row(i);
-      std::copy(new_row.begin(), new_row.end(),
-                row.begin() + static_cast<std::ptrdiff_t>(old_row.size()));
-    }
-    z_ = std::move(z);
-    tracked_rows_.insert(tracked_rows_.end(), fresh.begin(), fresh.end());  // memlint:allow(R9): refresh-only bookkeeping
-    deltas_.resize(k);  // memlint:allow(R9): refresh-only bookkeeping
-  }
-
-  // Rescan deltas only for the rows noted dirty since the last prepare —
-  // by the caller contract every other tracked row is unchanged, so its
-  // stored delta against the reference is still exact. (An empty delta is
-  // fine — its Z column just multiplies a zero capacitance contribution.)
-  for (const std::size_t r : dirty_rows_) {
-    const auto i = static_cast<std::size_t>(
-        std::find(tracked_rows_.begin(), tracked_rows_.end(), r) -
-        tracked_rows_.begin());
-    auto& delta = deltas_[i];
-    delta.clear();
-    const auto now = a.row(r);
-    const auto ref = reference_.row(r);
-    for (std::size_t c = 0; c < n; ++c) {
-      const double d = now[c] - ref[c];
-      if (d != 0.0) delta.emplace_back(c, d);  // memlint:allow(R9): delta list rebuilt only for rows noted dirty
-    }
-  }
-  std::uint64_t nnz = 0;
-  for (const auto& delta : deltas_) nnz += delta.size();
-
-  // Capacitance C = I_k + Vᵀ·Z, assembled from the sparse deltas.
-  Matrix c = Matrix::identity(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    auto crow = c.row(i);
-    for (const auto& [col, d] : deltas_[i]) {
-      const auto zrow = z_.row(col);
-      for (std::size_t j = 0; j < k; ++j) crow[j] += d * zrow[j];
-    }
-  }
-  obs::CostLedger::charge_active(
-      {.flops = static_cast<std::uint64_t>(dirty_rows_.size()) * n +
-                2 * nnz * k,
-       .bytes = 8 * (static_cast<std::uint64_t>(dirty_rows_.size()) * n * 2 +
-                     static_cast<std::uint64_t>(k) * k)});
-  correction_.emplace(std::move(c));  // memlint:allow(R9): k x k correction rebuilt only on refresh
-  if (correction_->singular()) {
-    // Ill-conditioned update (the deltas cancel against the reference in a
-    // way the rank-k form cannot represent stably): fall back to a fresh LU.
-    ++stats_.fallbacks;
-    return full_refactor(a);
-  }
-  correction_active_ = true;
-  if (options_.iterative_refinement) current_ = a;
-  dirty_rows_.clear();
-  ++stats_.incremental_updates;
-  ++updates_since_full_;
-  return true;
-}
-
-Vec FactorizationCache::corrected_solve(std::span<const double> b) const {
-  Vec y = base_->solve(b);
-  if (!correction_active_) return y;
-  const std::size_t k = tracked_rows_.size();
-  const std::size_t n = y.size();
-  Vec t(k, 0.0);  // memlint:allow(R9): k-sized scratch, bounded by max_dirty_fraction
-  std::uint64_t nnz = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    double sum = 0.0;
-    for (const auto& [col, d] : deltas_[i]) sum += d * y[col];
-    nnz += deltas_[i].size();
-    t[i] = sum;
-  }
-  const Vec s = correction_->solve(t);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto zrow = z_.row(i);
-    double sum = 0.0;
-    for (std::size_t j = 0; j < k; ++j) sum += zrow[j] * s[j];
-    y[i] -= sum;
-  }
-  obs::CostLedger::charge_active(
-      {.flops = 2 * (nnz + static_cast<std::uint64_t>(n) * k),
-       .bytes = 8 * (static_cast<std::uint64_t>(n) * k + 2 * n + 2 * k)});
-  return y;
+  lu_.emplace(a);  // charges its own closed-form flops  // memlint:allow(R9): full refactor is the amortized slow path the cache exists to avoid
+  ++stats_.full_factorizations;
+  obs::flight_record(obs::FlightEventKind::kCacheRefresh, "settle_cache",
+                     static_cast<double>(stats_.full_factorizations));
+  return !lu_->singular();
 }
 
 // memlint:hot — per-iteration Newton back-substitution entry.
 Vec FactorizationCache::solve(std::span<const double> b) {
   MEMLP_EXPECT_MSG(ready(), "FactorizationCache::solve before prepare()");
-  MEMLP_EXPECT(b.size() == base_->size());
+  MEMLP_EXPECT(b.size() == lu_->size());
   ++stats_.solves;
-  if (!correction_active_) return base_->solve(b);
-  Vec x = corrected_solve(b);
-  if (options_.iterative_refinement) {
-    // One refinement step against the true current matrix contracts the
-    // correction's round-off to direct-solve levels: r = b − A·x, x += A⁻¹r.
-    Vec residual = gemv(current_, x);  // gemv charges its own flops
-    for (std::size_t i = 0; i < residual.size(); ++i)
-      residual[i] = b[i] - residual[i];
-    const Vec dx = corrected_solve(residual);
-    for (std::size_t i = 0; i < x.size(); ++i) x[i] += dx[i];
-  }
-  return x;
+  return lu_->solve(b);
 }
 
 }  // namespace memlp

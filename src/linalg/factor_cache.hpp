@@ -1,67 +1,32 @@
-// Factorization reuse across small-perturbation re-solves.
+// Factorization reuse across re-solves of an unchanged matrix.
 //
-// The crossbar PDIP loop re-solves M·∆s = r every iteration, but between
-// settles only the 2(n+m) X/Y/Z/W diagonal cells of M change (§3.5's O(N)
-// update) — the A/Aᵀ/−I structural blocks are written once per attempt.
-// Re-factoring the full N×N effective matrix per settle (O(N³)) therefore
-// throws away almost all of the previous factor. This cache keeps the LU of
-// a *reference* matrix A₀ and, when told which rows may have changed,
-// patches solves with a Sherman–Morrison–Woodbury rank-k correction:
-//
-//   A = A₀ + U·Vᵀ,  U = [e_{r₁} … e_{r_k}],  Vᵀ = the changed-row deltas,
-//   A⁻¹b = y − Z·C⁻¹·(Vᵀy),  y = A₀⁻¹b,  Z = A₀⁻¹U,  C = I_k + Vᵀ·Z.
-//
-// Z depends only on the dirty-row *positions*, which are fixed across PDIP
-// iterations, so it is built once (multi-RHS triangular solves) and reused;
-// each prepare() refreshes the deltas and factors only the k×k capacitance
-// C — O(k³ + kN) per iteration instead of O(N³), with k ≈ N/3 for the
-// augmented KKT system. A full refactor happens whenever the dirty set is
-// unknown (note_all), too large a fraction of the matrix, the correction is
-// singular, or `refresh_interval` incremental updates have accumulated
-// (bounds delta growth and round-off). One step of iterative refinement
-// against the true current matrix (2 extra O(N²) passes) keeps the
-// correction path's accuracy at direct-solve levels.
-//
-// In non-incremental mode the cache degenerates to "factor when dirty":
-// prepare() re-factors only when a change was noted since the last factor,
-// which is bit-identical to always-refactor because an unchanged matrix
-// factors to the identical LU.
+// The crossbar PDIP loop re-solves M·∆s = r every iteration, but a settle
+// only needs a fresh factorization when a write actually moved the
+// effective matrix: a rewrite that lands on a cell's current level leaves
+// the array (and therefore its LU) untouched. This cache keeps the LU of
+// the last prepared matrix and re-factors only after invalidate(), which
+// the arrays call whenever a write changed a programmed level. Reusing the
+// LU of an unchanged matrix is bit-identical to re-factoring it.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <utility>
-#include <vector>
 
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 
 namespace memlp {
 
-/// Tuning knobs of a FactorizationCache.
-struct FactorCacheOptions {
-  /// Patch the cached factor with the SMW rank-k correction (true) or fully
-  /// re-factor on any change (false, the bit-exact legacy behavior).
-  bool incremental = false;
-  /// Full refactor when tracked dirty rows exceed this fraction of the
-  /// dimension (the correction stops being cheaper than a fresh LU).
-  double max_dirty_fraction = 0.5;
-  /// Full refactor after this many consecutive incremental updates, bounding
-  /// delta magnitude and correction round-off growth.
-  std::size_t refresh_interval = 16;
-  /// One iterative-refinement step per correction-path solve (residual
-  /// against the true current matrix), keeping accuracy at LU levels.
-  bool iterative_refinement = true;
-};
-
 /// Observability counters of a FactorizationCache (simulator bookkeeping,
 /// not hardware ops — the cost ledger carries the priced flops).
+/// The cache has no patch path, so `incremental_updates` and `fallbacks`
+/// always read 0; they stay because the benchmark harness fingerprints all
+/// five counters.
 struct FactorCacheStats {
   std::uint64_t full_factorizations = 0;  ///< fresh LU of the full matrix.
-  std::uint64_t incremental_updates = 0;  ///< SMW correction rebuilds.
-  std::uint64_t prepare_hits = 0;         ///< prepare() with nothing dirty.
-  std::uint64_t fallbacks = 0;  ///< incremental attempts that fell back.
+  std::uint64_t incremental_updates = 0;  ///< always 0 (see above).
+  std::uint64_t prepare_hits = 0;         ///< prepare() with nothing changed.
+  std::uint64_t fallbacks = 0;            ///< always 0 (see above).
   std::uint64_t solves = 0;
 
   FactorCacheStats& operator+=(const FactorCacheStats& other) noexcept {
@@ -86,41 +51,23 @@ struct FactorCacheStats {
   }
 };
 
-/// A solve cache over a slowly-mutating square matrix. Callers report
-/// changes via note_row()/note_all()/invalidate() and call prepare() before
+/// A solve cache over a square matrix that changes between some solves.
+/// Callers report every change with invalidate() and call prepare() before
 /// each batch of solve() calls.
 class FactorizationCache {
  public:
-  FactorizationCache() = default;
-  explicit FactorizationCache(FactorCacheOptions options)
-      : options_(options) {}
+  /// Declares that the matrix changed (or was replaced wholesale): the next
+  /// prepare() re-factors.
+  void invalidate() noexcept { lu_.reset(); }
 
-  void set_incremental(bool on) noexcept { options_.incremental = on; }
-  [[nodiscard]] bool incremental() const noexcept {
-    return options_.incremental;
-  }
-
-  /// Drops the factorization entirely (matrix replaced wholesale).
-  void invalidate();
-
-  /// Declares that row `r` of the matrix may have changed since the last
-  /// prepare(). Duplicate and spurious notes are cheap and harmless.
-  void note_row(std::size_t r);
-
-  /// Declares an unknown change set (e.g. write disturb smeared across the
-  /// array): the next prepare() fully re-factors.
-  void note_all();
-
-  /// Ensures a factorization of `a` is available, re-using as much of the
-  /// cached one as the noted dirty set allows. Caller contract: since the
-  /// last successful prepare(), `a` changed only in rows passed to
-  /// note_row() (or note_all()/invalidate() was called). Returns false when
-  /// `a` is singular.
+  /// Ensures a factorization of `a` is available: re-uses the cached one
+  /// when nothing was invalidated since the last prepare() and the shape is
+  /// the same, else factors `a` afresh. Returns false when `a` is singular.
   bool prepare(const Matrix& a);
 
-  /// True when prepare() succeeded and no solve-blocking state remains.
+  /// True when prepare() succeeded and no change was reported since.
   [[nodiscard]] bool ready() const noexcept {
-    return base_.has_value() && !base_->singular();
+    return lu_.has_value() && !lu_->singular();
   }
 
   /// Solves A x = b against the matrix of the last successful prepare().
@@ -131,30 +78,8 @@ class FactorizationCache {
   }
 
  private:
-  /// Fresh LU of `a`; resets all incremental state. Returns !singular.
-  bool full_refactor(const Matrix& a);
-
-  /// SMW apply: y = A₀⁻¹b, then y -= Z·C⁻¹·(Vᵀy) when a correction is
-  /// active.
-  [[nodiscard]] Vec corrected_solve(std::span<const double> b) const;
-
-  FactorCacheOptions options_;
   FactorCacheStats stats_;
-
-  std::optional<LuFactorization> base_;  ///< LU of reference_.
-  Matrix reference_;  ///< matrix base_ factors (incremental mode only).
-  Matrix current_;    ///< matrix of the last prepare (refinement residuals).
-
-  std::vector<std::size_t> tracked_rows_;  ///< rows with a Z column.
-  Matrix z_;  ///< N×k: column j = A₀⁻¹ e_{tracked_rows_[j]}.
-  /// Sparse per-tracked-row deltas (column, value) of current vs reference.
-  std::vector<std::vector<std::pair<std::size_t, double>>> deltas_;
-  std::optional<LuFactorization> correction_;  ///< LU of C = I + VᵀZ.
-  bool correction_active_ = false;
-
-  std::vector<std::size_t> dirty_rows_;  ///< noted since last prepare.
-  bool dirty_all_ = true;
-  std::size_t updates_since_full_ = 0;
+  std::optional<LuFactorization> lu_;  ///< LU of the last prepared matrix.
 };
 
 }  // namespace memlp

@@ -159,52 +159,6 @@ Vec LuFactorization::solve(std::span<const double> b) const {
   return x;
 }
 
-// memlint:hot — multi-RHS triangular-solve kernel.
-Matrix LuFactorization::solve_many(const Matrix& b) const {
-  MEMLP_EXPECT_MSG(!singular_, "solve_many() on a singular factorization");
-  MEMLP_EXPECT(b.rows() == lu_.rows());
-  const std::size_t n = lu_.rows();
-  const std::size_t nrhs = b.cols();
-  {
-    const auto dim = static_cast<std::uint64_t>(n);
-    const auto r = static_cast<std::uint64_t>(nrhs);
-    // The factor's n² entries stream through once for all right-hand sides.
-    obs::CostLedger::charge_active(
-        {.flops = 2 * dim * dim * r, .bytes = 8 * (dim * dim + 2 * dim * r)});
-  }
-  Matrix x(n, nrhs);  // memlint:allow(R9): result buffer; the caller owns the returned matrix
-  // Row-permuted copy of b: row i of x starts as row perm_[i] of b, then the
-  // substitutions below run the solve() recurrences with the right-hand-side
-  // index as the contiguous inner dimension.
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto src = b.row(perm_[i]);
-    std::copy(src.begin(), src.end(), x.row(i).begin());
-  }
-  // Forward substitution: L y = P b.
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto lrow = lu_.row(i);
-    auto xi = x.row(i);
-    for (std::size_t j = 0; j < i; ++j) {
-      const double lij = lrow[j];
-      const auto xj = x.row(j);
-      for (std::size_t t = 0; t < nrhs; ++t) xi[t] -= lij * xj[t];
-    }
-  }
-  // Back substitution: U x = y.
-  for (std::size_t ii = n; ii-- > 0;) {
-    const auto urow = lu_.row(ii);
-    auto xi = x.row(ii);
-    for (std::size_t j = ii + 1; j < n; ++j) {
-      const double uij = urow[j];
-      const auto xj = x.row(j);
-      for (std::size_t t = 0; t < nrhs; ++t) xi[t] -= uij * xj[t];
-    }
-    const double uii = urow[ii];
-    for (std::size_t t = 0; t < nrhs; ++t) xi[t] /= uii;
-  }
-  return x;
-}
-
 // memlint:hot — transposed triangular-solve kernel.
 Vec LuFactorization::solve_transposed(std::span<const double> b) const {
   MEMLP_EXPECT_MSG(!singular_, "solve_transposed() on singular factorization");

@@ -34,13 +34,6 @@ class LuFactorization {
   /// Solves A x = b. Requires !singular().
   [[nodiscard]] Vec solve(std::span<const double> b) const;
 
-  /// Solves A X = B for `b.cols()` right-hand sides in one substitution
-  /// pass (column j of the result solves column j of `b`). Per column the
-  /// arithmetic — and therefore the result — is bit-identical to solve();
-  /// the factor is streamed through the cache once instead of once per
-  /// right-hand side. Requires !singular() and b.rows() == size().
-  [[nodiscard]] Matrix solve_many(const Matrix& b) const;
-
   /// Solves A^T x = b (U^T L^T P x = b). Requires !singular().
   [[nodiscard]] Vec solve_transposed(std::span<const double> b) const;
 

@@ -30,8 +30,6 @@ TiledCrossbarMatrix::TiledCrossbarMatrix(TiledConfig config, Rng rng)
     throw ConfigError("tiled crossbar: tile_dim must be > 0");
   config_.xbar.max_dim = config_.tile_dim;
   config_.xbar.validate();
-  settle_cache_ =
-      FactorizationCache(xbar::settle_cache_options(config_.xbar.settle_mode));
 }
 
 std::vector<TiledCrossbarMatrix::BlockRange> TiledCrossbarMatrix::cut(
@@ -135,12 +133,10 @@ void TiledCrossbarMatrix::update_block(std::size_t r0, std::size_t c0,
         const auto& cb = col_blocks_[task.bj];
         xbar::Crossbar& t = tile(task.bi, task.bj);
         const std::size_t cells_before = t.stats().cells_written;
-        const std::size_t programs_before = t.stats().full_programs;
         t.update_block(task.r_lo - rb.begin, task.c_lo - cb.begin, task.sub);
-        // A full re-program (full-scale overflow) re-draws the whole tile
-        // even when no incremental cell changed.
-        changed[k] = t.stats().cells_written != cells_before ||
-                     t.stats().full_programs != programs_before;
+        // A full re-program (full-scale overflow) force-writes the cell that
+        // overflowed, so it counts as a change too.
+        changed[k] = t.stats().cells_written != cells_before;
         // New coefficients travel from the controller to the tile's write
         // circuits over the NoC.
         charge(local[k], task.sub.rows() * task.sub.cols(),
@@ -148,26 +144,15 @@ void TiledCrossbarMatrix::update_block(std::size_t r0, std::size_t c0,
       },
       config_.threads);
   for (const NocStats& s : local) stats_ += s;
-  for (std::size_t k = 0; k < tasks.size(); ++k) {
-    if (!changed[k]) continue;
-    note_tile_dirty(tasks[k].bi, tasks[k].bj, tasks[k].r_lo,
-                    tasks[k].r_lo + tasks[k].sub.rows());
-  }
+  for (std::size_t k = 0; k < tasks.size(); ++k)
+    if (changed[k]) note_tile_changed(tasks[k].bi, tasks[k].bj);
 }
 
-void TiledCrossbarMatrix::note_tile_dirty(std::size_t bi, std::size_t bj,
-                                          std::size_t r_lo, std::size_t r_hi) {
-  const auto& rb = row_blocks_[bi];
-  // Half-select disturb (and a full tile re-program) can move any row of the
-  // tile, not just the written ones; widen the dirty range accordingly.
-  if (config_.xbar.write_scheme.half_select_disturb > 0.0) {
-    r_lo = rb.begin;
-    r_hi = rb.begin + rb.length;
-  }
-  for (std::size_t r = r_lo; r < r_hi; ++r) settle_cache_.note_row(r);
+void TiledCrossbarMatrix::note_tile_changed(std::size_t bi, std::size_t bj) {
+  settle_cache_.invalidate();
   // Keep the cached assembly in sync (cheap: one tile block).
   if (!composite_.empty())
-    composite_.set_block(rb.begin, col_blocks_[bj].begin,
+    composite_.set_block(row_blocks_[bi].begin, col_blocks_[bj].begin,
                          tile(bi, bj).effective());
 }
 
@@ -180,7 +165,6 @@ std::size_t TiledCrossbarMatrix::update_cells(
   struct TileBatch {
     std::size_t bi = 0, bj = 0;
     std::vector<xbar::CellUpdate> cells;  // tile-local coordinates
-    std::size_t row_lo = 0, row_hi = 0;   // global dirty row span
   };
   std::vector<TileBatch> batches;
   std::vector<std::size_t> batch_of(tiles_.size(), tiles_.size());
@@ -192,25 +176,21 @@ std::size_t TiledCrossbarMatrix::update_cells(
     if (batch_of[t] == tiles_.size()) {
       materialize_tile(bi, bj);  // serial: before the parallel dispatch
       batch_of[t] = batches.size();
-      batches.push_back({bi, bj, {}, u.row, u.row + 1});
+      batches.push_back({bi, bj, {}});
     }
-    TileBatch& batch = batches[batch_of[t]];
-    batch.cells.push_back({u.row - row_blocks_[bi].begin,
-                           u.col - col_blocks_[bj].begin, u.value});
-    batch.row_lo = std::min(batch.row_lo, u.row);
-    batch.row_hi = std::max(batch.row_hi, u.row + 1);
+    batches[batch_of[t]].cells.push_back({u.row - row_blocks_[bi].begin,
+                                          u.col - col_blocks_[bj].begin,
+                                          u.value});
   }
   std::vector<NocStats> local(batches.size());
   std::vector<std::size_t> changed(batches.size(), 0);
-  std::vector<unsigned char> reprogrammed(batches.size(), 0);
   par::parallel_for(
       batches.size(),
       [&](std::size_t k) {
         const TileBatch& batch = batches[k];
         xbar::Crossbar& t = tile(batch.bi, batch.bj);
-        const std::size_t programs_before = t.stats().full_programs;
+        // Counts a full-scale re-program's writes as well.
         changed[k] = t.update_cells(batch.cells);
-        reprogrammed[k] = t.stats().full_programs != programs_before;
         charge(local[k], batch.cells.size(),
                topology_->hops_to_root(tile_index(batch.bi, batch.bj)));
       },
@@ -219,16 +199,7 @@ std::size_t TiledCrossbarMatrix::update_cells(
   for (std::size_t k = 0; k < batches.size(); ++k) {
     stats_ += local[k];
     total_changed += changed[k];
-    if (changed[k] == 0 && !reprogrammed[k]) continue;
-    const auto& rb = row_blocks_[batches[k].bi];
-    // A full-scale overflow re-programs (re-draws) the whole tile; otherwise
-    // only the touched rows can have moved.
-    if (reprogrammed[k])
-      note_tile_dirty(batches[k].bi, batches[k].bj, rb.begin,
-                      rb.begin + rb.length);
-    else
-      note_tile_dirty(batches[k].bi, batches[k].bj, batches[k].row_lo,
-                      batches[k].row_hi);
+    if (changed[k] != 0) note_tile_changed(batches[k].bi, batches[k].bj);
   }
   return total_changed;
 }

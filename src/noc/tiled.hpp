@@ -155,7 +155,7 @@ class TiledCrossbarMatrix {
   [[nodiscard]] const xbar::AmplifierStats& amplifier_stats() const noexcept {
     return amps_.stats();
   }
-  /// Composite settle-cache counters (full refactors vs incremental patches).
+  /// Composite settle-cache counters (full refactors vs reused factors).
   [[nodiscard]] const FactorCacheStats& settle_cache_stats() const noexcept {
     return settle_cache_.stats();
   }
@@ -183,11 +183,9 @@ class TiledCrossbarMatrix {
   /// Charges a transfer of `values` elements across `hops` hops.
   void charge_transfer(std::size_t values, std::size_t hops) noexcept;
 
-  /// Records that tile (bi, bj) changed within global rows [r_lo, r_hi):
-  /// notifies the settle cache (widened to the whole tile row span when
-  /// half-select disturb is active) and patches the cached assembly.
-  void note_tile_dirty(std::size_t bi, std::size_t bj, std::size_t r_lo,
-                       std::size_t r_hi);
+  /// Records that a write changed tile (bi, bj): drops the composite
+  /// factorization and patches the cached assembly.
+  void note_tile_changed(std::size_t bi, std::size_t bj);
 
   [[nodiscard]] bool tile_is_zero(std::size_t bi, std::size_t bj) const {
     return tile_zero_[tile_index(bi, bj)] != 0;
@@ -214,12 +212,12 @@ class TiledCrossbarMatrix {
   std::unique_ptr<Topology> topology_;
   xbar::AmplifierBank amps_;
   NocStats stats_;
-  /// Cached assembly of the tiles' effective blocks, patched per dirty tile
+  /// Cached assembly of the tiles' effective blocks, patched per changed tile
   /// after writes; empty until the first composite solve (or after a full
   /// program). Lets repeated settles skip the O(N²) reassembly.
   Matrix composite_;
-  /// Caches the composite factorization across settles (precise
-  /// invalidation; rank-k reuse in SettleMode::kReuse).
+  /// Caches the composite factorization across settles; dropped only when
+  /// a write changed some tile.
   FactorizationCache settle_cache_;
 };
 

@@ -429,49 +429,6 @@ TEST(CrossbarSettleCache, RealWriteInvalidatesTheFactorization) {
     EXPECT_NEAR((*x)[i], expected[i], 1e-12);
 }
 
-TEST(CrossbarSettleCache, ReuseModeMatchesExactWithinTolerance) {
-  // Twin crossbars, identical seeds: one settles exactly (full refactor),
-  // the other through the rank-k correction. The writes are identical, so
-  // the effective matrices agree and the solves must match to refinement
-  // accuracy.
-  CrossbarConfig exact_cfg = ideal_config();
-  exact_cfg.settle_mode = SettleMode::kExact;
-  CrossbarConfig reuse_cfg = ideal_config();
-  reuse_cfg.settle_mode = SettleMode::kReuse;
-  Rng data_rng(25);
-  const std::size_t n = 12;
-  const Matrix a = random_nonneg(n, n, data_rng);
-  Crossbar exact(exact_cfg, Rng(26));
-  Crossbar reuse(reuse_cfg, Rng(26));
-  exact.program(a, 4.0 * a.max_abs());
-  reuse.program(a, 4.0 * a.max_abs());
-
-  Rng value_rng(27);
-  for (std::size_t iteration = 0; iteration < 6; ++iteration) {
-    // The PDIP pattern: rewrite a few diagonal cells, then settle.
-    std::vector<CellUpdate> updates;
-    for (std::size_t j = 0; j < 4; ++j)
-      updates.push_back({j, j, value_rng.uniform(0.1, 2.0)});
-    exact.update_cells(updates);
-    reuse.update_cells(updates);
-    ASSERT_EQ(exact.effective(), reuse.effective()) << "it " << iteration;
-    Vec b(n);
-    for (double& v : b) v = value_rng.uniform(-1.0, 1.0);
-    const auto x_exact = exact.solve(b);
-    const auto x_reuse = reuse.solve(b);
-    ASSERT_TRUE(x_exact.has_value());
-    ASSERT_TRUE(x_reuse.has_value());
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR((*x_reuse)[i], (*x_exact)[i],
-                  1e-9 * (1.0 + std::abs((*x_exact)[i])))
-          << "row " << i << " it " << iteration;
-  }
-  // The reuse array must actually have exercised the incremental path.
-  EXPECT_GE(reuse.settle_cache_stats().incremental_updates, 4u);
-  EXPECT_LT(reuse.settle_cache_stats().full_factorizations,
-            exact.settle_cache_stats().full_factorizations);
-}
-
 TEST(CrossbarSettleCache, BatchedUpdateMatchesSequentialUpdates) {
   // update_cells must be write-for-write identical to an update_cell loop
   // (same RNG draw order, same quantization, same remap points).

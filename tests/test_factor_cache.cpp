@@ -1,5 +1,5 @@
-// Tests for the factorization-reuse cache: precise invalidation semantics,
-// Sherman–Morrison rank-k correction accuracy, and the fallback paths.
+// Tests for the factorization-reuse cache: a factor is reused until the
+// matrix is reported changed, then re-factored to the bit-exact fresh LU.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -63,10 +63,10 @@ TEST(FactorCache, PrepareWithNothingDirtyIsAHit) {
 TEST(FactorCache, NoteRowForcesRefactorInExactMode) {
   Rng rng(3);
   Matrix a = random_well_conditioned(9, rng);
-  FactorizationCache cache;  // non-incremental
+  FactorizationCache cache;
   ASSERT_TRUE(cache.prepare(a));
   a(4, 4) += 1.0;
-  cache.note_row(4);
+  cache.invalidate();
   const Vec b = random_vec(9, rng);
   ASSERT_TRUE(cache.prepare(a));
   EXPECT_EQ(cache.stats().full_factorizations, 2u);
@@ -75,103 +75,26 @@ TEST(FactorCache, NoteRowForcesRefactorInExactMode) {
   for (std::size_t i = 0; i < 9; ++i) EXPECT_EQ(x[i], expected[i]);
 }
 
-TEST(FactorCache, IncrementalRowUpdateMatchesDirectSolve) {
-  Rng rng(4);
-  const std::size_t n = 24;
-  Matrix a = random_well_conditioned(n, rng);
-  FactorizationCache cache(
-      {.incremental = true, .max_dirty_fraction = 0.5});
-  ASSERT_TRUE(cache.prepare(a));
-
-  // Perturb a handful of rows, the PDIP diagonal-rewrite pattern.
-  for (std::size_t r : {3u, 7u, 11u}) {
-    a(r, r) *= 1.5;
-    a(r, (r + 2) % n) += 0.25;
-    cache.note_row(r);
-  }
-  ASSERT_TRUE(cache.prepare(a));
-  EXPECT_EQ(cache.stats().full_factorizations, 1u);
-  EXPECT_EQ(cache.stats().incremental_updates, 1u);
-
-  const Vec b = random_vec(n, rng);
-  const Vec x = cache.solve(b);
-  EXPECT_LT(solve_error(a, b, x), 1e-12);
-}
-
-TEST(FactorCache, RepeatedUpdatesOnSameRowsReuseZ) {
-  // The PDIP loop rewrites the SAME rows every iteration; after the first
-  // incremental prepare, later ones must not add full factorizations.
-  Rng rng(5);
-  const std::size_t n = 30;
-  Matrix a = random_well_conditioned(n, rng);
-  FactorizationCache cache({.incremental = true, .refresh_interval = 100});
-  ASSERT_TRUE(cache.prepare(a));
-  for (std::size_t iteration = 0; iteration < 8; ++iteration) {
-    for (std::size_t r : {2u, 9u, 20u}) {
-      a(r, r) += 0.1 * static_cast<double>(iteration + 1);
-      cache.note_row(r);
-    }
-    ASSERT_TRUE(cache.prepare(a));
-    const Vec b = random_vec(n, rng);
-    const Vec x = cache.solve(b);
-    EXPECT_LT(solve_error(a, b, x), 1e-11) << "iteration " << iteration;
-  }
-  EXPECT_EQ(cache.stats().full_factorizations, 1u);
-  EXPECT_EQ(cache.stats().incremental_updates, 8u);
-}
-
-TEST(FactorCache, LargeDirtyFractionFallsBackToFullLu) {
-  Rng rng(6);
-  const std::size_t n = 10;
-  Matrix a = random_well_conditioned(n, rng);
-  FactorizationCache cache(
-      {.incremental = true, .max_dirty_fraction = 0.3});
-  ASSERT_TRUE(cache.prepare(a));
-  for (std::size_t r = 0; r < 6; ++r) {  // 60% of rows — over the threshold
-    a(r, r) += 1.0;
-    cache.note_row(r);
-  }
-  ASSERT_TRUE(cache.prepare(a));
-  EXPECT_EQ(cache.stats().fallbacks, 1u);
-  EXPECT_EQ(cache.stats().full_factorizations, 2u);
-  EXPECT_EQ(cache.stats().incremental_updates, 0u);
-  const Vec b = random_vec(n, rng);
-  EXPECT_LT(solve_error(a, b, cache.solve(b)), 1e-12);
-}
-
-TEST(FactorCache, RefreshIntervalBoundsIncrementalChains) {
-  Rng rng(7);
-  const std::size_t n = 12;
-  Matrix a = random_well_conditioned(n, rng);
-  FactorizationCache cache({.incremental = true, .refresh_interval = 3});
-  ASSERT_TRUE(cache.prepare(a));
-  for (std::size_t k = 0; k < 7; ++k) {
-    a(5, 5) += 0.05;
-    cache.note_row(5);
-    ASSERT_TRUE(cache.prepare(a));
-  }
-  // Updates 1..3 incremental, 4 refreshes, 5..7 incremental again.
-  EXPECT_EQ(cache.stats().full_factorizations, 2u);
-  EXPECT_EQ(cache.stats().incremental_updates, 6u);
-}
-
 TEST(FactorCache, NoteAllDropsTheCorrectionState) {
+  // A change set spread over the whole matrix is reported by the same one
+  // call as a single-cell change, and re-factors to the fresh LU.
   Rng rng(8);
   const std::size_t n = 14;
   Matrix a = random_well_conditioned(n, rng);
-  FactorizationCache cache({.incremental = true});
+  FactorizationCache cache;
   ASSERT_TRUE(cache.prepare(a));
   a(1, 1) += 0.5;
-  cache.note_row(1);
+  cache.invalidate();
   ASSERT_TRUE(cache.prepare(a));
-  EXPECT_EQ(cache.stats().incremental_updates, 1u);
-  // An unknown change set must trigger a full refactor.
   for (std::size_t i = 0; i < n; ++i) a(i, i) += 0.1;
-  cache.note_all();
+  cache.invalidate();
   ASSERT_TRUE(cache.prepare(a));
-  EXPECT_EQ(cache.stats().full_factorizations, 2u);
+  EXPECT_EQ(cache.stats().full_factorizations, 3u);
+  EXPECT_EQ(cache.stats().prepare_hits, 0u);
   const Vec b = random_vec(n, rng);
-  EXPECT_LT(solve_error(a, b, cache.solve(b)), 1e-12);
+  const Vec x = cache.solve(b);
+  const Vec expected = LuFactorization(a).solve(b);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], expected[i]);
 }
 
 TEST(FactorCache, SingularMatrixReportsFailure) {
@@ -185,13 +108,15 @@ TEST(FactorCache, RecoversAfterSingularPhase) {
   // A singular prepare must not poison the cache once the matrix is fixed.
   Rng rng(9);
   Matrix a = random_well_conditioned(6, rng);
-  FactorizationCache cache({.incremental = true});
+  FactorizationCache cache;
   ASSERT_TRUE(cache.prepare(a));
   Matrix broken = a;
   for (std::size_t j = 0; j < 6; ++j) broken(2, j) = 0.0;
-  cache.note_row(2);
+  cache.invalidate();
   EXPECT_FALSE(cache.prepare(broken));
-  cache.note_row(2);
+  // Unchanged and still singular: the cached verdict stands.
+  EXPECT_FALSE(cache.prepare(broken));
+  cache.invalidate();
   ASSERT_TRUE(cache.prepare(a));
   const Vec b = random_vec(6, rng);
   EXPECT_LT(solve_error(a, b, cache.solve(b)), 1e-12);
@@ -199,7 +124,7 @@ TEST(FactorCache, RecoversAfterSingularPhase) {
 
 TEST(FactorCache, ShapeChangeInvalidates) {
   Rng rng(10);
-  FactorizationCache cache({.incremental = true});
+  FactorizationCache cache;
   ASSERT_TRUE(cache.prepare(random_well_conditioned(5, rng)));
   const Matrix bigger = random_well_conditioned(8, rng);
   ASSERT_TRUE(cache.prepare(bigger));
@@ -212,6 +137,17 @@ TEST(FactorCache, SolveBeforePrepareIsAContractViolation) {
   FactorizationCache cache;
   const Vec b{1.0, 2.0};
   EXPECT_THROW((void)cache.solve(b), ContractViolation);
+}
+
+TEST(FactorCache, SolveAfterInvalidateIsAContractViolation) {
+  // A reported change drops the factor: a stale LU can never be solved
+  // against before the next prepare().
+  Rng rng(11);
+  const Matrix a = random_well_conditioned(4, rng);
+  FactorizationCache cache;
+  ASSERT_TRUE(cache.prepare(a));
+  cache.invalidate();
+  EXPECT_THROW((void)cache.solve(random_vec(4, rng)), ContractViolation);
 }
 
 }  // namespace

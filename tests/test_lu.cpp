@@ -198,54 +198,5 @@ TEST_P(LuBlockedBitExact, MatchesUnblockedEliminationBitwise) {
 INSTANTIATE_TEST_SUITE_P(Sweep, LuBlockedBitExact,
                          ::testing::Values(1, 31, 32, 33, 64, 97, 130, 160));
 
-// solve_many must be bit-identical, column for column, to solve() — the
-// factor-cache Z build relies on it.
-class LuSolveMany : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(LuSolveMany, BitwiseMatchesSolvePerColumn) {
-  const std::size_t n = GetParam();
-  Rng rng(4000 + n);
-  const Matrix a = random_well_conditioned(n, rng);
-  const LuFactorization lu(a);
-  ASSERT_FALSE(lu.singular());
-  const std::size_t nrhs = 7;
-  Matrix b(n, nrhs);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t t = 0; t < nrhs; ++t) b(i, t) = rng.normal();
-  const Matrix x = lu.solve_many(b);
-  for (std::size_t t = 0; t < nrhs; ++t) {
-    Vec column(n);
-    for (std::size_t i = 0; i < n; ++i) column[i] = b(i, t);
-    const Vec expected = lu.solve(column);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(x(i, t), expected[i])
-          << "rhs " << t << " row " << i << " at n=" << n;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, LuSolveMany,
-                         ::testing::Values(1, 2, 13, 40, 130));
-
-TEST(Lu, SolveManyUnitColumnsGiveInverseColumns) {
-  Rng rng(77);
-  const std::size_t n = 12;
-  const Matrix a = random_well_conditioned(n, rng);
-  const LuFactorization lu(a);
-  Matrix rhs(n, 3);
-  rhs(2, 0) = 1.0;
-  rhs(5, 1) = 1.0;
-  rhs(9, 2) = 1.0;
-  const Matrix z = lu.solve_many(rhs);
-  // A·z_t = e_{r_t}.
-  for (std::size_t t = 0; t < 3; ++t) {
-    Vec zt(n);
-    for (std::size_t i = 0; i < n; ++i) zt[i] = z(i, t);
-    const Vec az = gemv(a, zt);
-    const std::size_t unit = t == 0 ? 2u : t == 1 ? 5u : 9u;
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(az[i], i == unit ? 1.0 : 0.0, 1e-9);
-  }
-}
-
 }  // namespace
 }  // namespace memlp

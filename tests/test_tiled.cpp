@@ -269,37 +269,70 @@ TEST(Tiled, SettleCacheSurvivesNoOpWritesAndFollowsRealOnes) {
     EXPECT_NEAR((*x)[i], expected[i], 1e-12);
 }
 
-TEST(Tiled, ReuseModeMatchesExactAcrossIterations) {
-  TiledConfig exact_cfg = ideal_tiled(4);
-  exact_cfg.xbar.settle_mode = xbar::SettleMode::kExact;
-  TiledConfig reuse_cfg = ideal_tiled(4);
-  reuse_cfg.xbar.settle_mode = xbar::SettleMode::kReuse;
-  Rng rng(34);
+/// Programs a 12×12 matrix with +4 on its diagonal over 4-wide tiles and
+/// settles once, so the settle cache holds a factorization. Returns the
+/// right-hand side of that settle.
+Vec program_and_settle(TiledCrossbarMatrix& tiled) {
+  Rng rng(37);
   const std::size_t n = 12;
-  const Matrix a = random_nonneg(n, n, rng);
-  TiledCrossbarMatrix exact(exact_cfg, Rng(35));
-  TiledCrossbarMatrix reuse(reuse_cfg, Rng(35));
-  exact.program(a, 4.0);
-  reuse.program(a, 4.0);
+  Matrix a = random_nonneg(n, n, rng);
+  for (std::size_t i = 0; i < n; ++i) a(i, i) += 4.0;
+  tiled.program(a);
+  Vec b(n);
+  for (std::size_t i = 0; i < n; ++i) b[i] = 1.0 + 0.1 * static_cast<double>(i);
+  EXPECT_TRUE(tiled.solve(b).has_value());
+  EXPECT_EQ(tiled.settle_cache_stats().full_factorizations, 1u);
+  return b;
+}
 
-  for (std::size_t iteration = 0; iteration < 5; ++iteration) {
-    std::vector<xbar::CellUpdate> updates;
-    for (std::size_t j = 0; j < 3; ++j)
-      updates.push_back({j, j, rng.uniform(0.2, 2.0)});
-    exact.update_cells(updates);
-    reuse.update_cells(updates);
-    Vec b(n);
-    for (double& v : b) v = rng.uniform(-1.0, 1.0);
-    const auto x_exact = exact.solve(b);
-    const auto x_reuse = reuse.solve(b);
-    ASSERT_TRUE(x_exact.has_value());
-    ASSERT_TRUE(x_reuse.has_value());
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR((*x_reuse)[i], (*x_exact)[i],
-                  1e-9 * (1.0 + std::abs((*x_exact)[i])))
-          << "row " << i << " it " << iteration;
-  }
-  EXPECT_GE(reuse.settle_cache_stats().incremental_updates, 3u);
+/// After a write that changed some tile, the next composite settle is one
+/// fresh LU of the assembled array.
+void expect_fresh_settle(TiledCrossbarMatrix& tiled, const Vec& b) {
+  const auto x = tiled.solve(b);
+  ASSERT_TRUE(x.has_value());
+  EXPECT_EQ(tiled.settle_cache_stats().full_factorizations, 2u);
+  const Vec expected = LuFactorization(tiled.assemble_effective()).solve(b);
+  for (std::size_t i = 0; i < b.size(); ++i)
+    EXPECT_NEAR((*x)[i], expected[i], 1e-12) << "row " << i;
+}
+
+TEST(Tiled, SettleAfterUpdateBlockRemapIsAFreshLu) {
+  // 60 exceeds tile (0, 0)'s full-scale: the tile re-maps every cell, not
+  // just the written one, and with 16 levels that moves its other rows.
+  TiledConfig config = ideal_tiled(4);
+  config.xbar.conductance_levels = 16;
+  TiledCrossbarMatrix tiled(config, Rng(38));
+  const Vec b = program_and_settle(tiled);
+  const std::size_t programs_before = tiled.crossbar_stats().full_programs;
+  tiled.update_block(1, 1, Matrix(1, 1, 60.0));
+  EXPECT_EQ(tiled.crossbar_stats().full_programs, programs_before + 1);
+  expect_fresh_settle(tiled, b);
+}
+
+TEST(Tiled, SettleAfterUpdateCellsRemapIsAFreshLu) {
+  TiledConfig config = ideal_tiled(4);
+  config.xbar.conductance_levels = 16;
+  TiledCrossbarMatrix tiled(config, Rng(38));
+  const Vec b = program_and_settle(tiled);
+  const std::size_t programs_before = tiled.crossbar_stats().full_programs;
+  const xbar::CellUpdate overflow{1, 1, 60.0};
+  tiled.update_cells({&overflow, 1});
+  EXPECT_EQ(tiled.crossbar_stats().full_programs, programs_before + 1);
+  expect_fresh_settle(tiled, b);
+}
+
+TEST(Tiled, SettleAfterHalfSelectDisturbIsAFreshLu) {
+  // A write with half-select disturb also drifts the other cells on its
+  // word and bit lines — rows of the tile that were never written.
+  TiledConfig config = ideal_tiled(4);
+  config.xbar.write_scheme.half_select_disturb = 1e-3;
+  TiledCrossbarMatrix tiled(config, Rng(39));
+  const Vec b = program_and_settle(tiled);
+  const Matrix before = tiled.assemble_effective();
+  const xbar::CellUpdate write{5, 5, before(5, 5) + 1.0};
+  tiled.update_cells({&write, 1});
+  EXPECT_NE(tiled.assemble_effective()(4, 5), before(4, 5));
+  expect_fresh_settle(tiled, b);
 }
 
 TEST(Tiled, FailedGlobalSettleAccounting) {
