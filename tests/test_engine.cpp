@@ -153,6 +153,35 @@ TEST(EngineGolden, XbarPredictorCorrector) {
   check_golden("xbar_pc", iteration_lines(sink));
 }
 
+// --- multi-panel sizes -------------------------------------------------------
+// At m = 64 the Newton KKT (pdip) and the negative-free array (xbar) span
+// several 32-column LU panels, reach the parallel trailing update and carry
+// long structural-zero runs — paths the m = 8–12 goldens above never touch.
+
+TEST(EngineGolden, PdipPredictorCorrectorM64) {
+  const auto problem = golden_problem(64, 191);
+  obs::MemoryTraceSink sink;
+  core::PdipOptions options;
+  options.predictor_corrector = true;
+  options.trace = &sink;
+  const auto result = core::solve_pdip(problem, options);
+  EXPECT_EQ(result.status, lp::SolveStatus::kOptimal);
+  check_golden("pdip_pc_m64", iteration_lines(sink));
+}
+
+TEST(EngineGolden, XbarPredictorCorrectorM64) {
+  const auto problem = golden_problem(64, 194);
+  obs::MemoryTraceSink sink;
+  core::XbarPdipOptions options;
+  options.hardware = golden_hardware();
+  options.seed = 4242;
+  options.pdip.predictor_corrector = true;
+  options.pdip.trace = &sink;
+  const auto outcome = core::solve_xbar_pdip(problem, options);
+  EXPECT_EQ(outcome.result.status, lp::SolveStatus::kOptimal);
+  check_golden("xbar_pc_m64", iteration_lines(sink));
+}
+
 // --- large-scale (two-system) pdip ------------------------------------------
 
 TEST(EngineGolden, LsSchurStable) {
