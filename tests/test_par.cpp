@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -17,6 +18,8 @@
 
 #include "common/par.hpp"
 #include "common/rng.hpp"
+#include "core/kkt.hpp"
+#include "core/negfree.hpp"
 #include "core/xbar_pdip.hpp"
 #include "engine/batch.hpp"
 #include "linalg/lu.hpp"
@@ -351,27 +354,59 @@ TEST(BatchPar, MetricsCountersExactUnderConcurrency) {
 
 // --- parallel LU ------------------------------------------------------------
 
+/// Factors `a` with the elimination's regions on one thread: a region
+/// nested inside another runs inline on its caller (par.hpp).
+LuFactorization factor_on_one_thread(const Matrix& a) {
+  std::optional<LuFactorization> lu;
+  par::parallel_for(
+      2, [&](std::size_t i) { if (i == 0) lu.emplace(a); }, 2);
+  return std::move(*lu);
+}
+
 TEST(LuPar, ParallelEliminationIsRepeatableAndCorrect) {
-  // Large enough that the elimination runs above the parallel cutoff.
+  // Both large enough that the elimination runs above the parallel cutoff:
+  // a dense matrix, and the structured crossbar settle array (negative-free
+  // KKT, ~4 % nonzero) whose zeros the kernel skips.
   constexpr std::size_t kDim = 200;
   Rng rng(31);
-  Matrix a(kDim, kDim);
+  Matrix dense(kDim, kDim);
   for (std::size_t i = 0; i < kDim; ++i)
-    for (std::size_t j = 0; j < kDim; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
-  for (std::size_t i = 0; i < kDim; ++i) a(i, i) += 10.0;
-  Vec b(kDim);
-  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+    for (std::size_t j = 0; j < kDim; ++j) dense(i, j) = rng.uniform(-1.0, 1.0);
+  for (std::size_t i = 0; i < kDim; ++i) dense(i, i) += 10.0;
 
-  const LuFactorization first(a);
-  const LuFactorization second(a);
-  ASSERT_FALSE(first.singular());
-  const Vec x1 = first.solve(b);
-  const Vec x2 = second.solve(b);
-  for (std::size_t i = 0; i < kDim; ++i) EXPECT_EQ(x1[i], x2[i]);
-  EXPECT_EQ(first.determinant(), second.determinant());
+  lp::GeneratorOptions gen;
+  gen.constraints = 64;
+  const auto problem = lp::random_feasible(gen, rng);
+  Matrix settle = core::NegativeFreeSystem(
+                      core::assemble_kkt(problem, core::PdipState::ones(
+                                                      problem.num_variables(),
+                                                      problem.num_constraints())))
+                      .matrix();
+  for (std::size_t i = 0; i < settle.rows(); ++i)
+    for (double& v : settle.row(i))
+      if (v != 0.0) v *= 1.0 + rng.uniform(-0.05, 0.05);
 
-  const Vec residual = sub(gemv(a, x1), b);
-  EXPECT_LT(norm_inf(residual), 1e-9);
+  for (const Matrix* a : {&dense, &settle}) {
+    const std::size_t n = a->rows();
+    Vec b(n);
+    for (double& v : b) v = rng.uniform(-1.0, 1.0);
+    const LuFactorization first(*a);
+    const LuFactorization second(*a);
+    const LuFactorization serial = factor_on_one_thread(*a);
+    ASSERT_FALSE(first.singular()) << "n=" << n;
+    const Vec x1 = first.solve(b);
+    const Vec x2 = second.solve(b);
+    const Vec x_serial = serial.solve(b);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(x1[i], x2[i]) << "n=" << n << " row " << i;
+      EXPECT_EQ(x1[i], x_serial[i]) << "n=" << n << " row " << i;
+    }
+    EXPECT_EQ(first.determinant(), second.determinant());
+    EXPECT_EQ(first.determinant(), serial.determinant());
+
+    const Vec residual = sub(gemv(*a, x1), b);
+    EXPECT_LT(norm_inf(residual), 1e-9) << "n=" << n;
+  }
 }
 
 }  // namespace
