@@ -58,15 +58,19 @@ BENCHMARK(BM_LuFactorSolve)->RangeMultiplier(2)->Range(32, 512)->Complexity();
 /// The array the xbar settle factors: the negative-free augmentation of the
 /// Eq. (12) KKT of a paper-style LP (m constraints, m/3 variables) at the
 /// all-ones iterate, every nonzero scaled by a ±5 % device variation. About
-/// 4 % of it is nonzero, unlike the dense-random matrix above.
-Matrix xbar_settle_array(std::size_t m, Rng& rng) {
+/// 4 % of it is nonzero, unlike the dense-random matrix above. `plan` gets
+/// the xbar solver's pivot plan for it.
+Matrix xbar_settle_array(std::size_t m, Rng& rng, PivotPlan* plan = nullptr) {
   lp::GeneratorOptions gen;
   gen.constraints = m;
   const auto problem = lp::random_feasible(gen, rng);
   const auto state = core::PdipState::ones(problem.num_variables(),
                                            problem.num_constraints());
-  Matrix a =
-      core::NegativeFreeSystem(core::assemble_kkt(problem, state)).matrix();
+  const core::NegativeFreeSystem negfree(core::assemble_kkt(problem, state));
+  if (plan != nullptr)
+    *plan = core::newton_pivot_plan(
+        {problem.num_variables(), problem.num_constraints()}, negfree);
+  Matrix a = negfree.matrix();
   for (std::size_t i = 0; i < a.rows(); ++i)
     for (double& v : a.row(i))
       if (v != 0.0) v *= 1.0 + rng.uniform(-0.05, 0.05);
@@ -86,6 +90,30 @@ void BM_LuFactorKkt(benchmark::State& state) {
 }
 // Wall time: the trailing update runs on the pool, off the main thread.
 BENCHMARK(BM_LuFactorKkt)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// The same array factored with the xbar settle's pivot plan: static pivots
+// on its two-entry rows, the dense kernel on the front left over.
+void BM_LuFactorKktPlanned(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  Rng rng(1);
+  PivotPlan plan;
+  const Matrix a = xbar_settle_array(m, rng, &plan);
+  std::size_t front = 0;
+  for (auto _ : state) {
+    const LuFactorization lu(a, plan);
+    benchmark::DoNotOptimize(lu.singular());
+    front = lu.front_dim();
+  }
+  state.counters["N"] = static_cast<double>(a.rows());
+  state.counters["front"] = static_cast<double>(front);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LuFactorKktPlanned)
     ->Arg(64)
     ->Arg(128)
     ->Arg(256)

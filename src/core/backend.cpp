@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "obs/trace.hpp"
@@ -14,8 +15,9 @@ class SingleCrossbarBackend final : public AnalogBackend {
   SingleCrossbarBackend(const xbar::CrossbarConfig& config, Rng rng)
       : crossbar_(config, rng) {}
 
-  void program(const Matrix& a, double full_scale_hint) override {
-    crossbar_.program(a, full_scale_hint);
+  void program(const Matrix& a, double full_scale_hint,
+               PivotPlan plan) override {
+    crossbar_.program(a, full_scale_hint, std::move(plan));
   }
   void update_cells(std::span<const xbar::CellUpdate> updates) override {
     crossbar_.update_cells(updates);
@@ -33,6 +35,9 @@ class SingleCrossbarBackend final : public AnalogBackend {
     s.settle_cache = crossbar_.settle_cache_stats();
     s.num_tiles = 1;
     return s;
+  }
+  const LuFactorization* settle_factor() const override {
+    return crossbar_.settle_factor();
   }
   void reset_stats() override { crossbar_.reset_stats(); }
   std::string describe() const override {
@@ -52,8 +57,9 @@ class TiledNocBackend final : public AnalogBackend {
                                 options.crossbar},
                rng) {}
 
-  void program(const Matrix& a, double full_scale_hint) override {
-    tiled_.program(a, full_scale_hint);
+  void program(const Matrix& a, double full_scale_hint,
+               PivotPlan plan) override {
+    tiled_.program(a, full_scale_hint, std::move(plan));
   }
   void update_cells(std::span<const xbar::CellUpdate> updates) override {
     tiled_.update_cells(updates);
@@ -74,6 +80,9 @@ class TiledNocBackend final : public AnalogBackend {
     s.num_tiles = tiled_.num_tiles();
     s.zero_tiles = tiled_.num_zero_tiles();
     return s;
+  }
+  const LuFactorization* settle_factor() const override {
+    return tiled_.settle_factor();
   }
   void reset_stats() override { tiled_.reset_stats(); }
   std::string describe() const override {

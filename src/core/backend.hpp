@@ -73,7 +73,10 @@ class AnalogBackend {
 
   using IoBoundary = xbar::Crossbar::IoBoundary;
 
-  virtual void program(const Matrix& a, double full_scale_hint) = 0;
+  /// Programs the array to hold `a`; `plan` is the pivot plan its settles
+  /// are factored with (linalg/lu.hpp; empty = dense partial pivoting).
+  virtual void program(const Matrix& a, double full_scale_hint,
+                       PivotPlan plan = {}) = 0;
   /// Rewrites a batch of scattered cells in one controller transaction —
   /// the per-PDIP-iteration diagonal refresh. One aggregated ledger charge
   /// and one settle-cache notification pass instead of per-cell bookkeeping.
@@ -88,6 +91,8 @@ class AnalogBackend {
   [[nodiscard]] virtual std::optional<Vec> solve(
       std::span<const double> b, IoBoundary io = IoBoundary::kBoth) = 0;
   [[nodiscard]] virtual BackendStats stats() const = 0;
+  /// The factorization the settles currently use (nullptr when none).
+  [[nodiscard]] virtual const LuFactorization* settle_factor() const = 0;
   virtual void reset_stats() = 0;
   /// Human-readable description for reports ("crossbar 128x128", "mesh NoC
   /// of 16 tiles", ...).

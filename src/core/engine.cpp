@@ -540,6 +540,12 @@ XbarSolveOutcome solve_analog_pdip(const lp::LinearProgram& problem,
         .with("backend.mvm_ops", out.stats.backend.xbar.mvm_ops)
         .with("backend.solve_ops", out.stats.backend.xbar.solve_ops)
         .with("backend.num_tiles", out.stats.backend.num_tiles);
+    const SettleFrontStats& fronts = out.stats.settle_fronts;
+    if (fronts.factorizations > 0)
+      event.with("settle.factorizations", fronts.factorizations)
+          .with("settle.front_dim_p50", fronts.front_dim_p50)
+          .with("settle.front_dim_max", fronts.front_dim_max)
+          .with("settle.deferred_pivots", fronts.deferred_pivots);
     sink->emit(event);
     sink->flush();
   }

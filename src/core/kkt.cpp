@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "core/negfree.hpp"
 #include "linalg/ops.hpp"
 
 namespace memlp::core {
@@ -31,6 +32,31 @@ void PdipState::clamp_floor(double floor) {
   clamp(y);
   clamp(w);
   clamp(z);
+}
+
+PivotPlan newton_pivot_plan(const KktLayout& layout,
+                            const NegativeFreeSystem& negfree) {
+  MEMLP_EXPECT(negfree.base_dim() == layout.dim());
+  const std::size_t base = layout.dim();
+  PivotPlan plan;
+  plan.reserve(negfree.dim());
+  for (std::size_t l = 0; l < negfree.num_compensations(); ++l)
+    plan.push_back({.row = base + l, .column = base + l});
+  for (std::size_t j = 0; j < layout.n; ++j)
+    plan.push_back({.row = layout.row_xz() + j,
+                    .column = layout.col_x() + j,
+                    .alternative = layout.col_z() + j});
+  for (std::size_t i = 0; i < layout.m; ++i)
+    plan.push_back({.row = layout.row_yw() + i,
+                    .column = layout.col_y() + i,
+                    .alternative = layout.col_w() + i});
+  for (std::size_t i = 0; i < layout.m; ++i)
+    plan.push_back({.row = layout.row_primal() + i,
+                    .column = layout.col_w() + i});
+  for (std::size_t j = 0; j < layout.n; ++j)
+    plan.push_back({.row = layout.row_dual() + j,
+                    .column = layout.col_z() + j});
+  return plan;
 }
 
 Matrix assemble_kkt(const lp::LinearProgram& problem,

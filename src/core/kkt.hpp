@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <optional>
 
+#include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "lp/problem.hpp"
 
@@ -55,6 +56,20 @@ struct KktLayout {
   [[nodiscard]] std::size_t row_xz() const noexcept { return m + n; }
   [[nodiscard]] std::size_t row_yw() const noexcept { return m + 2 * n; }
 };
+
+class NegativeFreeSystem;
+
+/// The pivot plan of the negative-free Newton array `negfree` (built from
+/// an Eq. (12) matrix of `layout`), in elimination order:
+///   1. each compensation row s_j + p_ℓ = 0 on its p_ℓ column;
+///   2. each Z·∆x + X·∆z row on {x_j, z_j};
+///   3. each W·∆y + Y·∆w row on {y_i, w_i};
+///   4. each primal row i on w_i;
+///   5. each dual row j on z_j.
+/// Most rows have two nonzeros, so the static phase eliminates them cheaply
+/// and leaves a small dense front (linalg/lu.hpp).
+PivotPlan newton_pivot_plan(const KktLayout& layout,
+                            const NegativeFreeSystem& negfree);
 
 /// Assembles the full Eq. (12) matrix for the given state.
 Matrix assemble_kkt(const lp::LinearProgram& problem, const PdipState& state);

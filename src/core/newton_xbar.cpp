@@ -53,7 +53,9 @@ XbarNewton::XbarNewton(const lp::LinearProgram& problem,
       layout_(layout),
       negfree_(negfree),
       backend_(backend),
-      amps_(amps) {}
+      amps_(amps),
+      seen_factorizations_(
+          backend.stats().settle_cache.full_factorizations) {}
 
 void XbarNewton::begin_attempt(const PdipState& state,
                                std::size_t attempt_index, bool reuse_array,
@@ -81,7 +83,8 @@ void XbarNewton::begin_attempt(const PdipState& state,
     obs::PhaseSpan span(sink, "xbar", "programming");
     span.note("attempt", attempt_index);
     const BackendStats before_program = backend_.stats();
-    backend_.program(negfree_.matrix(), full_scale);
+    backend_.program(negfree_.matrix(), full_scale,
+                     newton_pivot_plan(layout_, negfree_));
     const BackendStats programmed = backend_.stats().since(before_program);
     programming += programmed;
     annotate_backend_stats(span, programmed);
@@ -159,6 +162,15 @@ NewtonStep XbarNewton::solve(const PdipState& /*state*/, double mu,
   const auto delta_aug =
       backend_.solve(*rhs, AnalogBackend::IoBoundary::kOutputOnly);
   settle_span.close();
+  const std::uint64_t factorizations =
+      backend_.stats().settle_cache.full_factorizations;
+  if (factorizations != seen_factorizations_) {
+    seen_factorizations_ = factorizations;
+    if (const LuFactorization* lu = backend_.settle_factor()) {
+      front_dims_.push_back(lu->front_dim());
+      deferred_pivots_ += lu->deferred_pivots();
+    }
+  }
   if (!delta_aug) return {std::nullopt, true};
   return {split_step(layout_, negfree_.restrict(*delta_aug)), true};
 }
@@ -189,6 +201,16 @@ void XbarNewton::describe(XbarSolveStats& stats) const {
 void XbarNewton::collect_stats(XbarSolveStats& stats) const {
   stats.backend = backend_.stats();
   stats.amps = amps_.stats();
+  SettleFrontStats& fronts = stats.settle_fronts;
+  fronts.factorizations = front_dims_.size();
+  fronts.deferred_pivots = deferred_pivots_;
+  if (front_dims_.empty()) return;
+  std::vector<std::size_t> dims = front_dims_;
+  const auto middle = dims.begin() + static_cast<std::ptrdiff_t>(
+                                         (dims.size() - 1) / 2);
+  std::nth_element(dims.begin(), middle, dims.end());
+  fronts.front_dim_p50 = *middle;
+  fronts.front_dim_max = *std::max_element(dims.begin(), dims.end());
 }
 
 }  // namespace memlp::core

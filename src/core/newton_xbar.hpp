@@ -6,7 +6,9 @@
 // else goes through core/xbar_pdip.hpp or the memlp::engine registry.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "core/backend.hpp"
 #include "core/engine.hpp"
@@ -66,6 +68,12 @@ class XbarNewton final : public AnalogNewtonSystem {
   Vec r_;   ///< this iteration's measured rhs (at the Eq. (8) µ).
   BackendStats before_iterations_;
   xbar::AmplifierStats amps_before_;
+  /// Front dimension of every settle factorization of the solve, and the
+  /// plan rows each deferred; `seen_factorizations_` tells a fresh factor
+  /// from a reused one.
+  std::vector<std::size_t> front_dims_;
+  std::size_t deferred_pivots_ = 0;
+  std::uint64_t seen_factorizations_ = 0;
 };
 
 }  // namespace memlp::core

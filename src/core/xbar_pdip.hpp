@@ -57,6 +57,15 @@ struct XbarPdipOptions {
   std::uint64_t seed = 0x5eed;
 };
 
+/// The dense fronts of a solve's planned settle factorizations (see
+/// linalg/lu.hpp): simulator bookkeeping, not hardware operations.
+struct SettleFrontStats {
+  std::size_t factorizations = 0;   ///< planned factorizations made.
+  std::size_t front_dim_p50 = 0;    ///< median front dimension.
+  std::size_t front_dim_max = 0;
+  std::size_t deferred_pivots = 0;  ///< plan rows deferred, summed.
+};
+
 /// Hardware-operation record of one solve (feeds perf::HardwareModel).
 struct XbarSolveStats {
   BackendStats backend;           ///< total crossbar/NoC counters.
@@ -69,6 +78,7 @@ struct XbarSolveStats {
   std::size_t attempts = 1;       ///< 1 + retries actually used.
   std::size_t system_dim = 0;     ///< dimension of the augmented matrix M.
   std::size_t compensations = 0;  ///< negative-elimination variables.
+  SettleFrontStats settle_fronts;  ///< empty for unplanned settles (ls).
 };
 
 /// Result bundle: the LP solution plus the hardware record.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -75,7 +76,8 @@ Crossbar::Crossbar(CrossbarConfig config, Rng rng)
   config_.validate();
 }
 
-void Crossbar::program(const Matrix& a, double full_scale_hint) {
+void Crossbar::program(const Matrix& a, double full_scale_hint,
+                       PivotPlan plan) {
   MEMLP_EXPECT_MSG(a.nonnegative(),
                    "crossbar can only represent non-negative matrices");
   MEMLP_EXPECT(a.rows() > 0 && a.cols() > 0);
@@ -117,7 +119,7 @@ void Crossbar::program(const Matrix& a, double full_scale_hint) {
        .write_pulses = stats_.write_pulses - pulses_before});
   // Every cell was re-drawn: the cached factorization is of a different
   // matrix (and possibly a different shape) — drop it wholesale.
-  settle_cache_.invalidate();
+  settle_cache_.set_plan(std::move(plan));
 }
 
 void Crossbar::update_block(std::size_t r0, std::size_t c0,
@@ -143,7 +145,7 @@ void Crossbar::update_block(std::size_t r0, std::size_t c0,
     // test_crossbar's UpdateBlock disturb tests pin both behaviours.
     Matrix updated = ideal_;
     updated.set_block(r0, c0, block);
-    program(updated, 2.0 * block.max_abs());
+    program(updated, 2.0 * block.max_abs(), settle_cache_.plan());
     return;
   }
   std::vector<CellUpdate> updates;
@@ -178,7 +180,7 @@ std::size_t Crossbar::update_cells(std::span<const CellUpdate> updates) {
       apply_updates(updates.subspan(start, i - start));
       Matrix updated = ideal_;
       updated(updates[i].row, updates[i].col) = updates[i].value;
-      program(updated, 2.0 * updates[i].value);
+      program(updated, 2.0 * updates[i].value, settle_cache_.plan());
       start = i + 1;
     }
   }
@@ -329,7 +331,9 @@ bool quantize_output(Crossbar::IoBoundary io) {
 Vec Crossbar::multiply(std::span<const double> x, IoBoundary io) {
   MEMLP_EXPECT(programmed());
   MEMLP_EXPECT_MSG(x.size() == cols(), "multiply: size mismatch");
-  Vec input = quantize_input(io) ? io_.quantized(x) : Vec(x.begin(), x.end());  // memlint:allow(R9): input staging copy; buffer reuse is ROADMAP scale-up work
+  const Vec quantized = quantize_input(io) ? io_.quantized(x) : Vec();
+  const std::span<const double> input =
+      quantize_input(io) ? std::span<const double>(quantized) : x;
   Vec out = gemv(effective_, input);
   apply_sense_divider(out, /*transposed=*/false);
   apply_read_noise(out);
@@ -343,7 +347,9 @@ Vec Crossbar::multiply(std::span<const double> x, IoBoundary io) {
 Vec Crossbar::multiply_transposed(std::span<const double> x, IoBoundary io) {
   MEMLP_EXPECT(programmed());
   MEMLP_EXPECT_MSG(x.size() == rows(), "multiply_transposed: size mismatch");
-  Vec input = quantize_input(io) ? io_.quantized(x) : Vec(x.begin(), x.end());  // memlint:allow(R9): input staging copy; buffer reuse is ROADMAP scale-up work
+  const Vec quantized = quantize_input(io) ? io_.quantized(x) : Vec();
+  const std::span<const double> input =
+      quantize_input(io) ? std::span<const double>(quantized) : x;
   Vec out = gemv_transposed(effective_, input);
   apply_sense_divider(out, /*transposed=*/true);
   apply_read_noise(out);
@@ -366,7 +372,9 @@ std::optional<Vec> Crossbar::solve(std::span<const double> b, IoBoundary io) {
   }
   ++stats_.solve_ops;
   obs::CostLedger::charge_active({.settles = 1});
-  Vec rhs = quantize_input(io) ? io_.quantized(b) : Vec(b.begin(), b.end());  // memlint:allow(R9): RHS staging copy; buffer reuse is ROADMAP scale-up work
+  const Vec quantized = quantize_input(io) ? io_.quantized(b) : Vec();
+  const std::span<const double> rhs =
+      quantize_input(io) ? std::span<const double>(quantized) : b;
   Vec x = settle_cache_.solve(rhs);
   if (!std::all_of(x.begin(), x.end(),
                    [](double v) { return std::isfinite(v); })) {

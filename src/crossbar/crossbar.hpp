@@ -143,8 +143,12 @@ class Crossbar {
   /// Re-programming with a different shape is allowed (a new array).
   /// `full_scale_hint` reserves mapping headroom: the conductance full-scale
   /// covers max(a.max_abs(), full_scale_hint), so later update_block calls
-  /// with values up to the hint do not force a whole-array re-map.
-  void program(const Matrix& a, double full_scale_hint = 0.0);
+  /// with values up to the hint do not force a whole-array re-map. `plan`
+  /// is the pivot plan the simulator factors the settle array with
+  /// (linalg/lu.hpp); empty = dense partial pivoting. Kirchhoff settles to
+  /// the same vector either way.
+  void program(const Matrix& a, double full_scale_hint = 0.0,
+               PivotPlan plan = {});
 
   /// True when an array has been programmed.
   [[nodiscard]] bool programmed() const noexcept { return !ideal_.empty(); }
@@ -172,6 +176,12 @@ class Crossbar {
   /// Settle-cache behavior counters (full refactors vs reused factors).
   [[nodiscard]] const FactorCacheStats& settle_cache_stats() const noexcept {
     return settle_cache_.stats();
+  }
+
+  /// The settle factorization in use (nullptr before the first settle or
+  /// after a write changed the array).
+  [[nodiscard]] const LuFactorization* settle_factor() const noexcept {
+    return settle_cache_.factorization();
   }
 
   /// Which I/O conversion boundaries an operation crosses. Voltages are

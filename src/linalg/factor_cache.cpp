@@ -12,7 +12,7 @@ bool FactorizationCache::prepare(const Matrix& a) {
     ++stats_.prepare_hits;
     return !lu_->singular();
   }
-  lu_.emplace(a);  // charges its own closed-form flops  // memlint:allow(R9): full refactor is the amortized slow path the cache exists to avoid
+  lu_.emplace(a, plan_);  // charges its own flops  // memlint:allow(R9): full refactor is the amortized slow path the cache exists to avoid
   ++stats_.full_factorizations;
   obs::flight_record(obs::FlightEventKind::kCacheRefresh, "settle_cache",
                      static_cast<double>(stats_.full_factorizations));

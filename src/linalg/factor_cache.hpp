@@ -6,11 +6,14 @@
 // the array (and therefore its LU) untouched. This cache keeps the LU of
 // the last prepared matrix and re-factors only after invalidate(), which
 // the arrays call whenever a write changed a programmed level. Reusing the
-// LU of an unchanged matrix is bit-identical to re-factoring it.
+// LU of an unchanged matrix is bit-identical to re-factoring it. Every
+// factorization follows the cache's pivot plan (linalg/lu.hpp), which the
+// array's owner sets when it programs the array.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
@@ -60,6 +63,15 @@ class FactorizationCache {
   /// prepare() re-factors.
   void invalidate() noexcept { lu_.reset(); }
 
+  /// Sets the pivot plan every later factorization follows (empty = dense
+  /// partial pivoting) and drops the cached factor.
+  void set_plan(PivotPlan plan) {
+    plan_ = std::move(plan);
+    lu_.reset();
+  }
+
+  [[nodiscard]] const PivotPlan& plan() const noexcept { return plan_; }
+
   /// Ensures a factorization of `a` is available: re-uses the cached one
   /// when nothing was invalidated since the last prepare() and the shape is
   /// the same, else factors `a` afresh. Returns false when `a` is singular.
@@ -77,8 +89,15 @@ class FactorizationCache {
     return stats_;
   }
 
+  /// The factorization of the last prepare() (nullptr before any, or after
+  /// a reported change).
+  [[nodiscard]] const LuFactorization* factorization() const noexcept {
+    return lu_.has_value() ? &*lu_ : nullptr;
+  }
+
  private:
   FactorCacheStats stats_;
+  PivotPlan plan_;
   std::optional<LuFactorization> lu_;  ///< LU of the last prepared matrix.
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -40,7 +41,8 @@ std::vector<TiledCrossbarMatrix::BlockRange> TiledCrossbarMatrix::cut(
   return ranges;
 }
 
-void TiledCrossbarMatrix::program(const Matrix& a, double full_scale_hint) {
+void TiledCrossbarMatrix::program(const Matrix& a, double full_scale_hint,
+                                  PivotPlan plan) {
   MEMLP_EXPECT_MSG(a.nonnegative(),
                    "tiled crossbar only represents non-negative matrices");
   MEMLP_EXPECT(a.rows() > 0 && a.cols() > 0);
@@ -80,7 +82,7 @@ void TiledCrossbarMatrix::program(const Matrix& a, double full_scale_hint) {
   topology_ = make_topology(config_.topology, tiles_.size());
   // Every tile re-drew its cells: drop the assembly and the factorization.
   composite_ = Matrix();
-  settle_cache_.invalidate();
+  settle_cache_.set_plan(std::move(plan));
 }
 
 void TiledCrossbarMatrix::materialize_tile(std::size_t bi, std::size_t bj) {

@@ -92,8 +92,10 @@ class TiledCrossbarMatrix {
   TiledCrossbarMatrix(TiledConfig config, Rng rng);
 
   /// Programs the tile grid to represent `a` (non-negative). The optional
-  /// full-scale hint is forwarded to every tile (see Crossbar::program).
-  void program(const Matrix& a, double full_scale_hint = 0.0);
+  /// full-scale hint is forwarded to every tile; `plan` is the pivot plan
+  /// of the composite settle (see Crossbar::program).
+  void program(const Matrix& a, double full_scale_hint = 0.0,
+               PivotPlan plan = {});
 
   [[nodiscard]] bool programmed() const noexcept { return rows_ != 0; }
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
@@ -158,6 +160,10 @@ class TiledCrossbarMatrix {
   /// Composite settle-cache counters (full refactors vs reused factors).
   [[nodiscard]] const FactorCacheStats& settle_cache_stats() const noexcept {
     return settle_cache_.stats();
+  }
+  /// The composite settle factorization in use (nullptr when none).
+  [[nodiscard]] const LuFactorization* settle_factor() const noexcept {
+    return settle_cache_.factorization();
   }
   void reset_stats() noexcept;
 

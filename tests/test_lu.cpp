@@ -3,17 +3,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/engine.hpp"
 #include "core/kkt.hpp"
 #include "core/negfree.hpp"
+#include "core/newton_xbar.hpp"
+#include "core/scaling.hpp"
+#include "crossbar/amplifier.hpp"
+#include "crossbar/crossbar.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/ops.hpp"
 #include "lp/generator.hpp"
+#include "memristor/variation.hpp"
 
 namespace memlp {
 namespace {
@@ -361,6 +369,282 @@ INSTANTIATE_TEST_SUITE_P(Sweep, LuBlockedBitExact,
 
 INSTANTIATE_TEST_SUITE_P(Structured, LuBlockedBitExact,
                          ::testing::ValuesIn(structured_cases()));
+
+// --- planned factorization ---------------------------------------------------
+// A pivot plan eliminates its rows statically (larger-entry rule, deferral
+// below LuFactorization::kStaticPivotThreshold × the column maximum) and
+// leaves the rest to the dense kernel as the front.
+
+/// ‖b − A·x‖∞ / (‖A‖∞·‖x‖∞ + ‖b‖∞), the residual accumulated in long double.
+double backward_error(const Matrix& a, std::span<const double> x,
+                      std::span<const double> b) {
+  long double residual = 0.0L;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    long double sum = b[i];
+    for (std::size_t j = 0; j < a.cols(); ++j)
+      sum -= static_cast<long double>(a(i, j)) * x[j];
+    residual = std::max(residual, std::abs(sum));
+  }
+  return static_cast<double>(residual) /
+         (a.inf_norm() * norm_inf(x) + norm_inf(b));
+}
+
+Vec normal_rhs(std::size_t n, Rng& rng) {
+  Vec b(n);
+  for (double& v : b) v = rng.normal();
+  return b;
+}
+
+void expect_bitwise_equal(const Vec& x, const Vec& y) {
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], y[i]) << i;
+}
+
+TEST(LuPlanned, SolvesTheSettleArray) {
+  Rng rng(51);
+  const auto problem = feasible_lp(32, rng);
+  auto state = core::PdipState::ones(problem.num_variables(),
+                                     problem.num_constraints());
+  for (Vec* part : {&state.x, &state.y, &state.w, &state.z})
+    for (double& v : *part) v = rng.uniform(0.01, 10.0);
+  const core::KktLayout layout{problem.num_variables(),
+                               problem.num_constraints()};
+  const core::NegativeFreeSystem negfree(core::assemble_kkt(problem, state));
+  const Matrix a = perturb_nonzeros(negfree.matrix(), rng);
+  const PivotPlan plan = core::newton_pivot_plan(layout, negfree);
+  ASSERT_EQ(plan.size(), a.rows());
+  const Vec b = normal_rhs(a.rows(), rng);
+
+  const LuFactorization dense(a);
+  const LuFactorization planned(a, plan);
+  ASSERT_FALSE(planned.singular());
+  EXPECT_LT(planned.front_dim(), a.rows() / 4);
+  EXPECT_EQ(dense.front_dim(), a.rows());
+  EXPECT_LE(backward_error(a, planned.solve(b), b),
+            10.0 * backward_error(a, dense.solve(b), b));
+  EXPECT_NEAR(planned.log_abs_determinant(), dense.log_abs_determinant(),
+              1e-9 * std::abs(dense.log_abs_determinant()));
+  EXPECT_EQ(std::signbit(planned.determinant()),
+            std::signbit(dense.determinant()));
+}
+
+TEST(LuPlanned, DefersAPivotBelowTheThreshold) {
+  // Row 0's entry in column 0 is below 0.01 × that column's largest live
+  // entry (row 1's), so row 0 joins the front; row 2's pivot passes.
+  const Matrix a{{0.009, 1.0, 0.0}, {1.0, 2.0, 0.0}, {0.0, 0.0, 4.0}};
+  const PivotPlan plan{{.row = 0, .column = 0}, {.row = 2, .column = 2}};
+  const LuFactorization lu(a, plan);
+  ASSERT_FALSE(lu.singular());
+  EXPECT_EQ(lu.deferred_pivots(), 1U);
+  EXPECT_EQ(lu.front_dim(), 2U);
+  const Vec x{1.0, -2.0, 3.0};
+  const Vec y = lu.solve(gemv(a, x));
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(y[i], x[i], 1e-14);
+  EXPECT_NEAR(lu.determinant(), LuFactorization(a).determinant(), 1e-14);
+
+  // At exactly 0.01 × the column maximum the pivot is taken.
+  const Matrix at_threshold{{0.01, 1.0}, {1.0, 2.0}};
+  const LuFactorization taken(at_threshold,
+                              PivotPlan{{.row = 0, .column = 0}});
+  EXPECT_EQ(taken.deferred_pivots(), 0U);
+  EXPECT_EQ(taken.front_dim(), 1U);
+}
+
+TEST(LuPlanned, PicksTheLargerCandidate) {
+  // Row 0 may pivot on column 0 or 1 and takes the larger entry (column
+  // 1); row 1 then finds its only candidate gone and is deferred.
+  const Matrix a{{1.0, 3.0, 0.0}, {0.0, 1.0, 1.0}, {1.0, 0.0, 2.0}};
+  const PivotPlan plan{{.row = 0, .column = 0, .alternative = 1},
+                       {.row = 1, .column = 1}};
+  const LuFactorization lu(a, plan);
+  ASSERT_FALSE(lu.singular());
+  EXPECT_EQ(lu.deferred_pivots(), 1U);
+  EXPECT_EQ(lu.front_dim(), 2U);
+  const Vec b{1.0, 2.0, 3.0};
+  EXPECT_LT(backward_error(a, lu.solve(b), b), 1e-15);
+  EXPECT_NEAR(lu.determinant(), LuFactorization(a).determinant(), 1e-14);
+}
+
+TEST(LuPlanned, RowWithAllCandidatesGoneIsDeferred) {
+  const Matrix a{{2.0, 1.0, 0.0}, {1.0, 3.0, 1.0}, {0.0, 1.0, 4.0}};
+  const PivotPlan plan{{.row = 0, .column = 0},
+                       {.row = 2, .column = 0, .alternative = 0}};
+  const LuFactorization lu(a, plan);
+  EXPECT_EQ(lu.deferred_pivots(), 1U);
+  EXPECT_EQ(lu.front_dim(), 2U);
+  const Vec b{1.0, 0.0, -1.0};
+  EXPECT_LT(backward_error(a, lu.solve(b), b), 1e-15);
+}
+
+TEST(LuPlanned, AllDeferredPlanEqualsTheDenseFactor) {
+  // Every plan row is deferred (its candidate is a structural zero), so the
+  // front is the whole matrix in natural order: bit for bit the dense
+  // factor, in solve() and determinant().
+  Rng rng(52);
+  Matrix a = zero_runs(130, rng);
+  PivotPlan plan;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    const std::size_t column = (i + 30) % a.rows();
+    a(i, column) = 0.0;
+    plan.push_back({.row = i, .column = column});
+  }
+  const Vec b = normal_rhs(a.rows(), rng);
+  const LuFactorization planned(a, plan);
+  const LuFactorization dense(a);
+  ASSERT_FALSE(dense.singular());
+  EXPECT_EQ(planned.deferred_pivots(), a.rows());
+  EXPECT_EQ(planned.front_dim(), a.rows());
+  expect_bitwise_equal(planned.solve(b), dense.solve(b));
+  EXPECT_EQ(planned.determinant(), dense.determinant());
+}
+
+TEST(LuPlanned, SingularFrontIsReported) {
+  // Row 0 is eliminated statically; the front left over is [[1, 1],
+  // [1, 1]].
+  const Matrix a{{2.0, 0.0, 0.0}, {0.0, 1.0, 1.0}, {0.0, 1.0, 1.0}};
+  const LuFactorization lu(a, PivotPlan{{.row = 0, .column = 0}});
+  EXPECT_TRUE(lu.singular());
+  EXPECT_EQ(lu.front_dim(), 2U);
+  EXPECT_EQ(lu.determinant(), 0.0);
+}
+
+// Backward-error gate over whole crossbar solves: every settle of the xbar
+// solver, at m = 64 and 128 and 0, 5 and 20 % variation, is solved with the
+// planned factor it uses and with the dense factor of the same array and
+// right-hand side. The planned backward error must stay within 10× the
+// dense one; the forward difference is reported, not gated.
+class SettleProbe final : public core::AnalogBackend {
+ public:
+  SettleProbe(const xbar::CrossbarConfig& config, Rng rng)
+      : crossbar_(config, rng) {}
+
+  void program(const Matrix& a, double full_scale_hint,
+               PivotPlan plan) override {
+    plan_ = plan;
+    crossbar_.program(a, full_scale_hint, std::move(plan));
+  }
+  void update_cells(std::span<const xbar::CellUpdate> updates) override {
+    crossbar_.update_cells(updates);
+  }
+  Vec multiply(std::span<const double> x, IoBoundary io) override {
+    return crossbar_.multiply(x, io);
+  }
+  std::optional<Vec> solve(std::span<const double> b,
+                           IoBoundary io) override {
+    EXPECT_EQ(io, IoBoundary::kOutputOnly);  // b reaches the array as is
+    auto x = crossbar_.solve(b, io);
+    const std::uint64_t factorizations =
+        crossbar_.settle_cache_stats().full_factorizations;
+    if (factorizations != factorizations_) {
+      factorizations_ = factorizations;
+      planned_.emplace(crossbar_.effective(), plan_);
+      dense_.emplace(crossbar_.effective());
+    }
+    if (planned_->singular() || dense_->singular()) return x;
+    const Matrix& a = crossbar_.effective();
+    const Vec planned_x = planned_->solve(b);
+    const Vec dense_x = dense_->solve(b);
+    const double planned_error = backward_error(a, planned_x, b);
+    const double dense_error = backward_error(a, dense_x, b);
+    EXPECT_LE(planned_error, 10.0 * dense_error)
+        << "settle " << settles << " (front " << planned_->front_dim() << ")";
+    worst_ratio = std::max(worst_ratio, planned_error / dense_error);
+    worst_forward = std::max(
+        worst_forward, norm_inf(sub(planned_x, dense_x)) / norm_inf(dense_x));
+    max_front = std::max(max_front, planned_->front_dim());
+    ++settles;
+    return x;
+  }
+  core::BackendStats stats() const override {
+    core::BackendStats s;
+    s.xbar = crossbar_.stats();
+    s.settle_cache = crossbar_.settle_cache_stats();
+    return s;
+  }
+  const LuFactorization* settle_factor() const override {
+    return crossbar_.settle_factor();
+  }
+  void reset_stats() override { crossbar_.reset_stats(); }
+  std::string describe() const override { return "settle probe"; }
+
+  std::size_t settles = 0;
+  std::size_t max_front = 0;
+  double worst_ratio = 0.0;
+  double worst_forward = 0.0;
+
+ private:
+  xbar::Crossbar crossbar_;
+  PivotPlan plan_;
+  std::uint64_t factorizations_ = 0;
+  std::optional<LuFactorization> planned_;
+  std::optional<LuFactorization> dense_;
+};
+
+struct SettleCase {
+  std::size_t constraints = 0;
+  double variation = 0.0;
+};
+
+void PrintTo(const SettleCase& c, std::ostream* os) {
+  *os << "m" << c.constraints << "_var" << c.variation * 100.0;
+}
+
+class LuPlannedSettles : public ::testing::TestWithParam<SettleCase> {};
+
+TEST_P(LuPlannedSettles, BackwardErrorWithinTenfoldOfDense) {
+  const auto [constraints, variation] = GetParam();
+  Rng rng(600 + constraints);
+  const auto original = feasible_lp(constraints, rng);
+  // The xbar solver's set-up (core/xbar_pdip.cpp), on the probe backend.
+  const core::ProblemScaling scaling(original);
+  const lp::LinearProgram& problem = scaling.scaled();
+  const core::KktLayout layout{problem.num_variables(),
+                               problem.num_constraints()};
+  core::NegativeFreeSystem negfree(core::assemble_kkt(
+      problem, core::PdipState::ones(layout.n, layout.m)));
+  core::XbarPdipOptions options;
+  options.hardware.crossbar.variation =
+      variation > 0.0 ? mem::VariationModel::uniform(variation)
+                      : mem::VariationModel::none();
+  SettleProbe probe(options.hardware.crossbar, Rng(options.seed).split());
+  xbar::AmplifierBank amps;
+  core::EngineConfig config;
+  config.solver_name = "xbar";
+  config.mehrotra = core::MehrotraMode::kCorrectorRefine;
+  config.affine_exact = false;
+  config.mu_mean_floor = 1e-300;
+  config.step_dead_floor = 100.0 * options.state_floor;
+  config.state_floor = options.state_floor;
+  config.frozen_limit = 5;
+  config.attempt_mode = true;
+  config.acceptance_merit = options.acceptance_merit;
+  config.stall_window = options.stall_window;
+  core::AnalogSolveSpec spec;
+  spec.max_retries = options.max_retries;
+  spec.acceptance_merit = options.acceptance_merit;
+  spec.alpha = options.alpha;
+  spec.variation_magnitude = variation;
+  core::XbarNewton newton(problem, options, layout, negfree, probe, amps);
+  const auto outcome = core::solve_analog_pdip(
+      problem, scaling, options.pdip, config, spec, newton, nullptr);
+
+  EXPECT_GT(probe.settles, 40U);
+  EXPECT_LT(probe.max_front, negfree.dim() / 2);
+  std::printf("m = %zu, %.0f %% variation: %zu settles, %s, front <= %zu of "
+              "%zu, planned/dense backward error <= %.3g, forward "
+              "difference <= %.3g\n",
+              constraints, variation * 100.0, probe.settles,
+              lp::to_string(outcome.result.status).c_str(), probe.max_front,
+              negfree.dim(), probe.worst_ratio, probe.worst_forward);
+}
+
+INSTANTIATE_TEST_SUITE_P(Xbar, LuPlannedSettles,
+                         ::testing::Values(SettleCase{64, 0.0},
+                                           SettleCase{64, 0.05},
+                                           SettleCase{64, 0.20},
+                                           SettleCase{128, 0.0},
+                                           SettleCase{128, 0.05},
+                                           SettleCase{128, 0.20}));
 
 }  // namespace
 }  // namespace memlp

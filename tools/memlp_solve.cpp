@@ -301,6 +301,13 @@ int main(int argc, char** argv) {
                 memlp::perf::cost_table(ledger->tree(), hardware)
                     .str()
                     .c_str());
+    const auto& fronts = report.stats.settle_fronts;
+    if (report.has_hardware_stats && fronts.factorizations > 0)
+      std::printf("settle fronts: %zu planned factorizations of the %zux%zu "
+                  "array, front dim p50 %zu / max %zu, %zu deferred pivots\n",
+                  fronts.factorizations, report.stats.system_dim,
+                  report.stats.system_dim, fronts.front_dim_p50,
+                  fronts.front_dim_max, fronts.deferred_pivots);
     if (report.has_hardware_stats) {
       // The ledger's analog counters must reproduce the HardwareStats
       // totals: iterative estimate + one-off programming estimate.
