@@ -214,7 +214,10 @@ class Tableau {
     return leaving;
   }
 
-  void pivot(std::size_t row, std::size_t col) {
+  // Cache-line aligned: the row-elimination loop below ran up to a third
+  // slower when unrelated code size moved this function from a 64-byte
+  // boundary to a 32-byte one.
+  [[gnu::aligned(64)]] void pivot(std::size_t row, std::size_t col) {
     ++pivots_;
     if (phase1_) ++phase1_pivots_;
     if (std::abs(body_(row, cols_)) <= 1e-11) ++degenerate_pivots_;
