@@ -6,7 +6,11 @@
 
 #include "common/rng.hpp"
 #include "core/backend.hpp"
+#include "core/kkt.hpp"
+#include "core/negfree.hpp"
+#include "linalg/lu.hpp"
 #include "linalg/ops.hpp"
+#include "lp/generator.hpp"
 
 namespace memlp::core {
 namespace {
@@ -50,6 +54,47 @@ TEST(Backend, ForceNocOverridesSize) {
   Rng rng(30);
   backend->program(random_nonneg(12, rng), 0.0);
   EXPECT_GT(backend->stats().num_tiles, 1u);
+}
+
+// The pivot plan given to program() reaches the settle factorization on
+// both backends, and a full-scale re-map keeps it.
+TEST(Backend, SettlesFollowThePivotPlan) {
+  Rng rng(40);
+  lp::GeneratorOptions gen;
+  gen.constraints = 12;
+  const auto problem = lp::random_feasible(gen, rng);
+  const KktLayout layout{problem.num_variables(), problem.num_constraints()};
+  const NegativeFreeSystem negfree(
+      assemble_kkt(problem, PdipState::ones(layout.n, layout.m)));
+  const std::size_t dim = negfree.dim();
+  Vec b(dim);
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  const Vec expected = lu_solve(negfree.matrix(), b);
+
+  BackendOptions tiled_options = ideal_options();
+  tiled_options.force_noc = true;
+  tiled_options.tile_dim = 16;
+  for (const BackendOptions& options : {ideal_options(), tiled_options}) {
+    const auto backend = make_backend(options, dim, Rng(41));
+    backend->program(negfree.matrix(), 0.0,
+                     newton_pivot_plan(layout, negfree));
+    EXPECT_EQ(backend->settle_factor(), nullptr);
+    const auto x = backend->solve(b);
+    ASSERT_TRUE(x.has_value());
+    ASSERT_NE(backend->settle_factor(), nullptr);
+    EXPECT_LT(backend->settle_factor()->front_dim(), dim / 2);
+    for (std::size_t i = 0; i < dim; ++i)
+      EXPECT_NEAR((*x)[i], expected[i], 1e-4 * (1.0 + std::abs(expected[i])));
+  }
+
+  // A write above the mapping full-scale re-programs the single crossbar;
+  // its settles keep the plan.
+  const auto single = make_backend(ideal_options(), dim, Rng(42));
+  single->program(negfree.matrix(), 0.0, newton_pivot_plan(layout, negfree));
+  single->update_cell(layout.row_xz(), layout.col_x(),
+                      4.0 * negfree.matrix().max_abs());
+  ASSERT_TRUE(single->solve(b).has_value());
+  EXPECT_LT(single->settle_factor()->front_dim(), dim / 2);
 }
 
 TEST(Backend, SingleAndTiledComputeTheSameMath) {
