@@ -7,82 +7,37 @@
 // all-zero shards of the tiled structure are skipped outright.
 //
 // The harness sweeps a density × N grid and reports, per cell:
-//   * nnz(A) and the software Schur-assembly flop count (the CSR path's
-//     measured ledger charge vs the dense path's closed form),
+//   * nnz(A),
 //   * the tiled crossbar's zero-shard count and programmed cells,
 //   * the xbar solve's settle wall time and accuracy.
-// A fixed crossover check (m = 512, 5% density) asserts the sparse Schur
-// assembly beats the dense closed form by at least 5x — the regression gate
-// memlp_report enforces against results/json/baseline.
-#include <cstdint>
+// memlp_report gates the deterministic rows (nnz, zero shards, programmed
+// cells) against results/json/baseline.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "artifact.hpp"
 #include "bench_util.hpp"
 #include "common/stopwatch.hpp"
 #include "core/xbar_pdip.hpp"
-#include "linalg/sparse.hpp"
 #include "lp/generator.hpp"
 #include "lp/result.hpp"
-#include "obs/cost_ledger.hpp"
-#include "perf/hardware_model.hpp"
 #include "solvers/simplex.hpp"
 
 using namespace memlp;
-
-namespace {
-
-/// Flops the ledger attributes to one csr_schur_dense call: total flop delta
-/// across the tree (the call is bracketed tightly, nothing else charges).
-std::uint64_t measured_flops(const obs::CostTree& before,
-                             const obs::CostTree& after) {
-  const obs::CostTree delta = bench::cost_tree_delta(before, after);
-  std::uint64_t total = 0;
-  for (const auto& [path, counters] : delta) total += counters.flops;
-  return total;
-}
-
-/// Dense Schur-assembly closed form (see core/newton_software.cpp): 3 flops
-/// per triple-product term over m(m+1)/2 dot products of length n, plus the
-/// diagonal shift.
-std::uint64_t dense_schur_flops(std::size_t m, std::size_t n) {
-  const auto rows = static_cast<std::uint64_t>(m);
-  const auto cols = static_cast<std::uint64_t>(n);
-  return 3 * cols * (rows * (rows + 1) / 2) + 2 * rows;
-}
-
-/// One sparse Schur assembly of A·Θ·Aᵀ + diag(shift) with unit weights,
-/// returning the ledger-measured flops.
-std::uint64_t sparse_schur_flops(const bench::BenchRun& run,
-                                 const lp::LinearProgram& problem) {
-  const Vec theta(problem.num_variables(), 1.0);
-  const Vec shift(problem.num_constraints(), 1.0);
-  const obs::CostTree before = run.ledger().tree();
-  const Matrix s = csr_schur_dense(problem.a.csr(), theta, shift);
-  (void)s;
-  return measured_flops(before, run.ledger().tree());
-}
-
-}  // namespace
 
 int main() {
   auto config = bench::SweepConfig::from_env();
   bench::BenchRun run("ablation_sparsity",
                       "Ablation — sparsity across the problem pipeline",
-                      "programming, Schur assembly, and shard count scale "
-                      "with nnz, not N^2",
+                      "programming and shard count scale with nnz, not N^2",
                       config);
-  const perf::HardwareModel hardware;
 
   // --- density × N grid -------------------------------------------------
   // Small tile_dim so even the smoke sizes shard the KKT system and expose
   // its structurally-zero blocks to the zero-shard skip.
   constexpr std::size_t kGridTileDim = 8;
   TextTable table("sparsity grid (xbar PDIP, NoC tiles of 8, no variation)");
-  table.set_header({"m", "density", "nnz(A)", "schur flops (csr)",
-                    "schur flops (dense form)", "zero shards", "shards",
+  table.set_header({"m", "density", "nnz(A)", "zero shards", "shards",
                     "program cells", "settle [ms]", "relative error"});
   for (const std::size_t m : config.sizes) {
     for (const double density : {0.05, 0.25, 1.0}) {
@@ -92,9 +47,6 @@ int main() {
       generator.sparsity = 1.0 - density;
       const auto problem = lp::random_feasible(generator, rng);
       const auto nnz = static_cast<double>(problem.a.nnz());
-      const std::uint64_t csr_flops = sparse_schur_flops(run, problem);
-      const std::uint64_t dense_flops = dense_schur_flops(
-          problem.num_constraints(), problem.num_variables());
 
       const auto reference = solvers::solve_simplex(problem);
       core::XbarPdipOptions options;
@@ -113,8 +65,6 @@ int main() {
       table.add_row(
           {TextTable::num(static_cast<double>(m), 0), bench::percent(density),
            TextTable::num(nnz, 0),
-           TextTable::num(static_cast<double>(csr_flops), 0),
-           TextTable::num(static_cast<double>(dense_flops), 0),
            TextTable::num(static_cast<double>(backend.zero_tiles), 0),
            TextTable::num(static_cast<double>(backend.num_tiles), 0),
            TextTable::num(
@@ -126,8 +76,6 @@ int main() {
           "/m" + std::to_string(m) + "/d" +
           std::to_string(static_cast<int>(density * 100));
       run.metric("nnz" + cell, nnz, {.unit = "cells", .measured = false});
-      run.metric("schur_flops_csr" + cell, static_cast<double>(csr_flops),
-                 {.unit = "flops", .measured = false});
       run.metric("zero_shards" + cell,
                  static_cast<double>(backend.zero_tiles),
                  {.unit = "tiles", .lower_is_better = false,
@@ -142,46 +90,8 @@ int main() {
   }
   run.table(table);
 
-  // --- fixed crossover check (regression-gated) -------------------------
-  // m = 512, n = m/3, 5% density: the CSR row-intersection assembly must
-  // beat the dense closed form by at least 5x. Runs at a fixed size
-  // regardless of the sweep so the smoke gate exercises the real frontier.
-  {
-    constexpr std::size_t kCrossoverM = 512;
-    Rng rng(config.seed);
-    lp::GeneratorOptions generator;
-    generator.constraints = kCrossoverM;
-    generator.sparsity = 0.95;
-    const auto problem = lp::random_feasible(generator, rng);
-    const std::uint64_t csr_flops = sparse_schur_flops(run, problem);
-    const std::uint64_t dense_flops = dense_schur_flops(
-        problem.num_constraints(), problem.num_variables());
-    const double ratio = static_cast<double>(dense_flops) /
-                         static_cast<double>(csr_flops == 0 ? 1 : csr_flops);
-    TextTable crossover("Schur-assembly crossover (m = 512, 5% density)");
-    crossover.set_header(
-        {"nnz(A)", "csr flops", "dense flops", "dense/csr ratio"});
-    crossover.add_row(
-        {TextTable::num(static_cast<double>(problem.a.nnz()), 0),
-         TextTable::num(static_cast<double>(csr_flops), 0),
-         TextTable::num(static_cast<double>(dense_flops), 0),
-         TextTable::num(ratio, 1)});
-    run.table(crossover);
-    run.metric("schur_flops_ratio_5pct_m512", ratio,
-               {.unit = "x", .lower_is_better = false, .measured = false});
-    if (ratio < 5.0) {
-      std::fprintf(stderr,
-                   "FAIL: sparse Schur assembly only %.2fx cheaper than the "
-                   "dense closed form at 5%% density, m=512 (gate: >= 5x)\n",
-                   ratio);
-      run.finish();
-      return 1;
-    }
-  }
-
   std::printf(
-      "\nexpected: programming cells and Schur flops fall with density while "
-      "accuracy holds; all-zero shards of the tile grid are never "
-      "programmed.\n");
+      "\nexpected: programming cells fall with density while accuracy "
+      "holds; all-zero shards of the tile grid are never programmed.\n");
   return run.finish();
 }

@@ -148,53 +148,6 @@ BENCHMARK(BM_CsrSpmv)
     ->ArgsProduct({{128, 256, 512, 1024}, {5, 25, 100}})
     ->Complexity();
 
-// Normal-equations assembly S = A·Θ·Aᵀ + diag(w/y), sparse CSR
-// row-intersection kernel vs the dense m²n triple product it replaces
-// (both as used by the software PDIP, m constraints over n = m/3
-// variables).
-void BM_SchurAssemblyCsr(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto density_pct = static_cast<int>(state.range(1));
-  const std::size_t n = m / 3;
-  Rng rng(6);
-  const CsrMatrix a =
-      CsrMatrix::from_dense(random_sparse(m, n, density_pct, rng));
-  Vec theta(n, 1.0), shift(m, 1.0);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(csr_schur_dense(a, theta, shift));
-  state.SetComplexityN(static_cast<std::int64_t>(m));
-}
-BENCHMARK(BM_SchurAssemblyCsr)
-    ->ArgsProduct({{96, 192, 384}, {5, 25, 100}})
-    ->Complexity();
-
-void BM_SchurAssemblyDense(benchmark::State& state) {
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto density_pct = static_cast<int>(state.range(1));
-  const std::size_t n = m / 3;
-  Rng rng(6);
-  const Matrix a = random_sparse(m, n, density_pct, rng);
-  Vec theta(n, 1.0), shift(m, 1.0);
-  for (auto _ : state) {
-    Matrix s(m, m);
-    for (std::size_t i = 0; i < m; ++i) {
-      for (std::size_t k = 0; k <= i; ++k) {
-        double sum = 0.0;
-        for (std::size_t j = 0; j < n; ++j)
-          sum += a(i, j) * theta[j] * a(k, j);
-        s(i, k) = sum;
-        s(k, i) = sum;
-      }
-      s(i, i) += shift[i];
-    }
-    benchmark::DoNotOptimize(s);
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(m));
-}
-BENCHMARK(BM_SchurAssemblyDense)
-    ->ArgsProduct({{96, 192, 384}, {5, 25, 100}})
-    ->Complexity();
-
 void BM_GaussSeidelSweep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);

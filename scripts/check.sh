@@ -25,11 +25,9 @@
 #      2 trials) into a temp dir, then memlp_report against the committed
 #      results/json/baseline tree — the regression gate from
 #      docs/observability.md. Deterministic estimated metrics (including
-#      the settle-cache factorization counts, the sparse-Schur flop
-#      crossover, and zero-shard counts) use the default tight tolerance;
-#      measured wall clocks get a machine-tolerant band. ablation_sparsity
-#      additionally hard-fails if the sparse Schur assembly is not >= 5x
-#      cheaper than the dense form at 5% density, m = 512.
+#      the settle-cache factorization counts, settle flops, and nnz,
+#      zero-shard and programmed-cell counts) use the default tight
+#      tolerance; measured wall clocks get a machine-tolerant band.
 #
 # Usage: scripts/check.sh [extra ctest args for the ASan run...]
 set -euo pipefail

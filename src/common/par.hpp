@@ -3,9 +3,9 @@
 // A chunked thread pool (plain std::thread + std::atomic, no work stealing):
 // one process-wide pool whose workers claim contiguous index chunks off an
 // atomic counter. It exists for the three places that dominate wall time —
-// per-tile crossbar operations (noc/tiled.cpp), dense row elimination and
-// Schur assembly (linalg/lu.cpp, core/pdip.cpp), and fanning independent LPs
-// across the pool (engine/batch.hpp).
+// per-tile crossbar operations (noc/tiled.cpp), dense row elimination
+// (linalg/lu.cpp), and fanning independent LPs across the pool
+// (engine/batch.hpp).
 //
 // Determinism contract: a parallel region must produce bit-identical results
 // at every thread count. The pool guarantees that each index in [0, count)

@@ -5,7 +5,7 @@
 // the Mehrotra predictor-corrector, the Eq. (11) step length, convergence /
 // divergence / stall classification, and the obs instrumentation are shared
 // by every solver. This header owns that loop; the per-realization math —
-// full-KKT LU, normal-equations LDLᵀ, crossbar settle, two-system
+// full-KKT LU, crossbar settle, two-system
 // least-squares scheme — plugs in through the NewtonSystem policy interface.
 // The public entry points (core/pdip.hpp, core/xbar_pdip.hpp,
 // core/ls_pdip.hpp) are thin wrappers that build a policy plus an

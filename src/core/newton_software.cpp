@@ -3,17 +3,10 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/par.hpp"
-#include "linalg/ops.hpp"
-#include "linalg/sparse.hpp"
-#include "obs/cost_ledger.hpp"
 #include "obs/profiler.hpp"
 
 namespace memlp::core {
 namespace {
-
-/// Schur assembly (A·Θ·Aᵀ, O(m²n)) goes parallel from this many constraints.
-constexpr std::size_t kParallelSchurCutoff = 64;
 
 /// Subtracts Mehrotra's second-order corrections from the complementarity
 /// rows of an Eq. (9) right-hand side.
@@ -39,106 +32,8 @@ double matrix_norm_1(const Matrix& a) {
 
 }  // namespace
 
-NormalEquationsSolver::NormalEquationsSolver(const lp::LinearProgram& problem,
-                                             const PdipState& state)
-    : problem_(problem), state_(state) {
-  const std::size_t n = problem.num_variables();
-  const std::size_t m = problem.num_constraints();
-  const Vec ax = problem.a.multiply(state.x);
-  const Vec aty = problem.a.multiply_transposed(state.y);
-  rp_.resize(m);
-  for (std::size_t i = 0; i < m; ++i)
-    rp_[i] = problem.b[i] - ax[i] - state.w[i];
-  rd_.resize(n);
-  for (std::size_t j = 0; j < n; ++j)
-    rd_[j] = problem.c[j] - aty[j] + state.z[j];
-  theta_.resize(n);
-  for (std::size_t j = 0; j < n; ++j)
-    theta_[j] = state.x[j] / state.z[j];
-
-  Matrix s;  // S = A·Θ·Aᵀ + diag(w/y)
-  if (problem.a.prefers_sparse()) {
-    // Sparse Schur assembly from CSR row intersections: cost scales with
-    // Σ_j nnz_col(j)² instead of m²·n (charges its own ledger entry).
-    Vec shift(m);
-    for (std::size_t i = 0; i < m; ++i) shift[i] = state.w[i] / state.y[i];
-    s = csr_schur_dense(problem.a.csr(), theta_, shift);
-  } else {
-    const Matrix& a = problem.a.dense();
-    s = Matrix(m, m);
-    // Assembled in parallel above a size cutoff. Row task i writes exactly
-    // the cells {(i, k), (k, i) : k ≤ i}; any off-diagonal cell (r, c) is
-    // owned by task max(r, c) and the diagonal by task i, so tasks never
-    // collide and every cell's arithmetic is independent of thread count.
-    const auto assemble_row = [&](std::size_t i) {
-      for (std::size_t k = 0; k <= i; ++k) {
-        double sum = 0.0;
-        for (std::size_t j = 0; j < n; ++j)
-          sum += a(i, j) * theta_[j] * a(k, j);
-        s(i, k) = sum;
-        s(k, i) = sum;
-      }
-      s(i, i) += state.w[i] / state.y[i];
-    };
-    if (m >= kParallelSchurCutoff) {
-      par::parallel_for(m, assemble_row);
-    } else {
-      for (std::size_t i = 0; i < m; ++i) assemble_row(i);
-    }
-    // Schur flops (3 per triple-product term over m(m+1)/2 dot products of
-    // length n, plus the diagonal shift), charged closed-form outside the
-    // parallel region so the attribution is deterministic.
-    const auto rows = static_cast<std::uint64_t>(m);
-    const auto cols = static_cast<std::uint64_t>(n);
-    obs::CostLedger::charge_active(
-        {.flops = 3 * cols * (rows * (rows + 1) / 2) + 2 * rows,
-         .bytes = 8 * (rows * cols + rows * rows)});
-  }
-  ldlt_.emplace(s);
-}
-
-std::optional<StepDirection> NormalEquationsSolver::step(
-    double mu, std::span<const double> corr1,
-    std::span<const double> corr2) const {
-  if (!usable()) return std::nullopt;
-  const std::size_t n = problem_.num_variables();
-  const std::size_t m = problem_.num_constraints();
-  const auto c1 = [&](std::size_t j) { return corr1.empty() ? 0.0 : corr1[j]; };
-  const auto c2 = [&](std::size_t i) { return corr2.empty() ? 0.0 : corr2[i]; };
-  Vec u(n);  // Θ∘(rd + rµ1./x)
-  for (std::size_t j = 0; j < n; ++j) {
-    const double rmu1_over_x =
-        (mu - state_.x[j] * state_.z[j] - c1(j)) / state_.x[j];
-    u[j] = theta_[j] * (rd_[j] + rmu1_over_x);
-  }
-  Vec rhs = problem_.a.multiply(u);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double rmu2_over_y =
-        (mu - state_.y[i] * state_.w[i] - c2(i)) / state_.y[i];
-    rhs[i] += rmu2_over_y - rp_[i];
-  }
-  StepDirection step;
-  step.dy = ldlt_->solve(rhs);
-  const Vec atdy = problem_.a.multiply_transposed(step.dy);
-  step.dx.resize(n);
-  step.dz.resize(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double rmu1 = mu - state_.x[j] * state_.z[j] - c1(j);
-    step.dx[j] = u[j] - theta_[j] * atdy[j];
-    step.dz[j] = (rmu1 - state_.z[j] * step.dx[j]) / state_.x[j];
-  }
-  step.dw.resize(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const double rmu2 = mu - state_.y[i] * state_.w[i] - c2(i);
-    step.dw[i] = (rmu2 - state_.w[i] * step.dy[i]) / state_.y[i];
-  }
-  return step;
-}
-
-SoftwareNewton::SoftwareNewton(const lp::LinearProgram& problem,
-                               const PdipOptions& options)
+SoftwareNewton::SoftwareNewton(const lp::LinearProgram& problem)
     : problem_(problem),
-      options_(options),
       layout_{problem.num_variables(), problem.num_constraints()},
       kkt_(assemble_kkt(problem, PdipState::ones(layout_.n, layout_.m))) {}
 
@@ -151,21 +46,14 @@ Residuals SoftwareNewton::measure(const PdipState& state, double /*mu*/) {
 
 void SoftwareNewton::prepare(const PdipState& state) {
   obs::ProfileSpan factor_span("factorize");
-  if (options_.newton == NewtonFactorization::kNormalEquations) {
-    normal_.emplace(problem_, state);
-    if (!normal_->usable()) normal_.reset();
-  } else {
-    update_kkt_diagonals(kkt_, problem_, state);
-    lu_.emplace(kkt_);
-    if (lu_->singular()) lu_.reset();
-  }
+  update_kkt_diagonals(kkt_, problem_, state);
+  lu_.emplace(kkt_);
+  if (lu_->singular()) lu_.reset();
 }
 
 std::optional<double> SoftwareNewton::condition() {
   // Newton-system condition estimate, traced path only: Hager's ‖A⁻¹‖₁
-  // estimate × ‖A‖₁ for the full KKT LU, the D-diagonal spread for the
-  // normal-equations LDLᵀ.
-  if (normal_) return normal_->condition_estimate();
+  // estimate × ‖A‖₁ of the KKT matrix.
   if (lu_) {
     if (const auto inv_norm = lu_->inverse_norm_estimate())
       return *inv_norm * matrix_norm_1(kkt_);
@@ -178,7 +66,6 @@ NewtonStep SoftwareNewton::solve(const PdipState& state, double mu,
                                  std::span<const double> corr2,
                                  bool /*reuse_measured_rhs*/) {
   obs::ProfileSpan newton_span("newton");
-  if (normal_) return {normal_->step(mu, corr1, corr2), true};
   if (!lu_) return {std::nullopt, true};
   Vec rhs = kkt_rhs(problem_, state, mu);
   apply_corrections(layout_, corr1, corr2, rhs);

@@ -1,6 +1,5 @@
-// Software NewtonSystem policies (core/pdip.hpp's solver): exact residuals
-// plus either a full-KKT LU or an m×m normal-equations LDLᵀ per iteration,
-// selected by PdipOptions::newton.
+// Software NewtonSystem policy (core/pdip.hpp's solver): exact residuals
+// plus one dense LU of the full 2(n+m) Eq. (12) KKT system per iteration.
 //
 // ENGINE-INTERNAL: include only from src/core/ (memlint rule R7); everything
 // else goes through core/pdip.hpp or the memlp::engine registry.
@@ -11,54 +10,18 @@
 
 #include "core/engine.hpp"
 #include "core/kkt.hpp"
-#include "core/pdip.hpp"
-#include "linalg/ldlt.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "lp/problem.hpp"
 
 namespace memlp::core {
 
-/// One iteration's Newton machinery via the m×m normal equations
-/// (see PdipOptions::newton):
-///   (A·Θ·Aᵀ + Y⁻¹W)·∆y = A·(Θ∘(rd + rµ1./x)) + rµ2./y − rp,  Θ = Z⁻¹X,
-///   ∆x = Θ∘(rd + rµ1./x − Aᵀ∆y),
-///   ∆z = (rµ1 − z∘∆x)./x,   ∆w = (rµ2 − w∘∆y)./y,
-/// with rµ1 = µe − XZe − corr1 and rµ2 = µe − YWe − corr2 (the corrections
-/// carry Mehrotra's second-order term; empty = plain Newton).
-/// The Schur factorization is built once and reused for every right-hand
-/// side of the iteration.
-class NormalEquationsSolver {
- public:
-  NormalEquationsSolver(const lp::LinearProgram& problem,
-                        const PdipState& state);
-
-  [[nodiscard]] bool usable() const { return !ldlt_->failed(); }
-
-  /// Conditioning proxy of the factored Schur complement (tracing).
-  [[nodiscard]] double condition_estimate() const {
-    return ldlt_->condition_proxy();
-  }
-
-  [[nodiscard]] std::optional<StepDirection> step(
-      double mu, std::span<const double> corr1,
-      std::span<const double> corr2) const;
-
- private:
-  const lp::LinearProgram& problem_;
-  const PdipState& state_;
-  Vec rp_;
-  Vec rd_;
-  Vec theta_;
-  std::optional<LdltFactorization> ldlt_;
-};
-
 /// NewtonSystem over exact software arithmetic: measure() evaluates the true
 /// infeasibilities, prepare() runs the per-iteration factorization
 /// ("factorize" profiler phase), solve() one back-substitution ("newton").
 class SoftwareNewton final : public NewtonSystem {
  public:
-  SoftwareNewton(const lp::LinearProgram& problem, const PdipOptions& options);
+  explicit SoftwareNewton(const lp::LinearProgram& problem);
 
   Residuals measure(const PdipState& state, double mu) override;
   void prepare(const PdipState& state) override;
@@ -70,10 +33,8 @@ class SoftwareNewton final : public NewtonSystem {
 
  private:
   const lp::LinearProgram& problem_;
-  const PdipOptions& options_;
   KktLayout layout_;
   Matrix kkt_;  ///< assembled once; diagonals updated per iteration.
-  std::optional<NormalEquationsSolver> normal_;
   std::optional<LuFactorization> lu_;
 };
 

@@ -24,7 +24,7 @@ lp::SolveResult solve_pdip(const lp::LinearProgram& problem,
   // picks the software Newton policy and translates the outcome.
   EngineConfig config;
   config.solver_name = "pdip";
-  SoftwareNewton newton(problem, options);
+  SoftwareNewton newton(problem);
   PdipEngine engine(problem, options, config, sink);
   const PdipEngine::Outcome outcome = engine.run(newton, state);
 

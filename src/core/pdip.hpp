@@ -19,19 +19,8 @@ class TraceSink;
 
 namespace memlp::core {
 
-/// How the software baseline solves the per-iteration Newton system.
-enum class NewtonFactorization {
-  /// The full 2(n+m) Eq. (12) system via dense LU — the paper's O(N³)
-  /// software reference.
-  kFullKkt,
-  /// The m×m normal equations (A·Θ·Aᵀ + Y⁻¹W)·∆y = rhs via LDLᵀ — the
-  /// textbook IPM implementation, a stronger software baseline.
-  kNormalEquations,
-};
-
 /// Tuning of the software PDIP method (defaults follow the text).
 struct PdipOptions {
-  NewtonFactorization newton = NewtonFactorization::kFullKkt;
   /// Mehrotra predictor–corrector (extension): an affine predictor step
   /// chooses the centering weight adaptively and a corrector reuses the
   /// iteration's factorization; typically halves the iteration count.

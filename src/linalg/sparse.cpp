@@ -5,15 +5,10 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "common/par.hpp"
 #include "obs/cost_ledger.hpp"
 
 namespace memlp {
 namespace {
-
-/// Sparse Schur assembly goes parallel from this many output rows (matches
-/// the dense cutoff in core/newton_software.cpp).
-constexpr std::size_t kParallelSchurCutoff = 64;
 
 /// Charges one sparse MVM: 2 flops per stored entry, bytes for the value +
 /// index streams and both vectors. Closed-form, charged once per call, so
@@ -187,61 +182,6 @@ double CsrMatrix::at(std::size_t row, std::size_t col) const {
   const auto it = std::lower_bound(begin, end, col);
   if (it == end || *it != col) return 0.0;
   return values_[static_cast<std::size_t>(it - column_indices_.begin())];
-}
-
-// memlint:hot — sparse Schur-assembly kernel on the normal-equations path.
-Matrix csr_schur_dense(const CsrMatrix& a, std::span<const double> theta,
-                       std::span<const double> shift) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  MEMLP_EXPECT_MSG(theta.size() == n && shift.size() == m,
-                   "csr_schur_dense: operand size mismatch");
-  const CsrMatrix at = a.transposed();
-  {
-    // Closed-form charge outside the parallel region: 1 flop per stored
-    // entry for the a_ij·θ_j products, 2 per scatter addend (one addend per
-    // (row-i entry j, column-j entry) pair = Σ_j nnz_col(j)²), m diagonal
-    // adds. Bytes: both CSR streams plus the dense output.
-    const auto at_offsets = at.row_offsets();
-    std::uint64_t scatter_pairs = 0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto col_nnz =
-          static_cast<std::uint64_t>(at_offsets[j + 1] - at_offsets[j]);
-      scatter_pairs += col_nnz * col_nnz;
-    }
-    obs::CostLedger::charge_active(
-        {.flops = static_cast<std::uint64_t>(a.nnz()) + 2 * scatter_pairs +
-                  static_cast<std::uint64_t>(m),
-         .bytes = 32 * static_cast<std::uint64_t>(a.nnz()) +
-                  8 * static_cast<std::uint64_t>(m) * m});
-  }
-  // The dense output IS the product; it is sized exactly once per call.
-  Matrix s(m, m);  // memlint:allow(R9)
-  const auto a_offsets = a.row_offsets();
-  const auto a_cols = a.column_indices();
-  const auto a_values = a.values();
-  const auto at_offsets = at.row_offsets();
-  const auto at_cols = at.column_indices();
-  const auto at_values = at.values();
-  // Row task i writes only s.row(i); the scatter order within the row is
-  // fixed by the CSR structure, so the result is bit-identical at any
-  // thread count.
-  const auto assemble_row = [&](std::size_t i) {
-    const auto out = s.row(i);
-    for (std::size_t k = a_offsets[i]; k < a_offsets[i + 1]; ++k) {
-      const std::size_t j = a_cols[k];
-      const double coef = a_values[k] * theta[j];
-      for (std::size_t l = at_offsets[j]; l < at_offsets[j + 1]; ++l)
-        out[at_cols[l]] += coef * at_values[l];
-    }
-    out[i] += shift[i];
-  };
-  if (m >= kParallelSchurCutoff) {
-    par::parallel_for(m, assemble_row);
-  } else {
-    for (std::size_t i = 0; i < m; ++i) assemble_row(i);
-  }
-  return s;
 }
 
 }  // namespace memlp

@@ -3,9 +3,9 @@
 // §3.5 notes that LP constraint matrices are typically sparse; since the
 // sparse-first pipeline refactor the CSR form is the source of truth for
 // lp::LinearProgram constraint matrices: the software baselines run their
-// residual MVMs and Schur assembly over CSR, and the sparsity-aware crossbar
-// programming (structural zeros are free) mirrors the same observation on
-// the hardware side.
+// residual MVMs over CSR, and the sparsity-aware crossbar programming
+// (structural zeros are free) mirrors the same observation on the hardware
+// side.
 //
 // Canonical form invariant: within every row the column indices are strictly
 // increasing, duplicates are summed at construction, and exact zeros are
@@ -92,15 +92,5 @@ class CsrMatrix {
   std::vector<std::size_t> column_indices_;
   std::vector<double> values_;
 };
-
-/// Sparse normal-equations assembly: S = A·diag(theta)·Aᵀ + diag(shift),
-/// returned dense (the LDLᵀ factorization consumes a dense S). Row i of S is
-/// accumulated by scattering A's row-i entries against the matching columns
-/// of A (via Aᵀ rows), so the cost is nnz + 2·Σ_j nnz_col(j)² instead of the
-/// dense 3·n·m(m+1)/2. Parallel over output rows under the memlp::par
-/// bit-identical contract: each task owns exactly its own row and the addend
-/// order within a row is fixed by the CSR structure, not the thread count.
-Matrix csr_schur_dense(const CsrMatrix& a, std::span<const double> theta,
-                       std::span<const double> shift);
 
 }  // namespace memlp

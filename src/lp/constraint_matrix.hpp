@@ -4,11 +4,11 @@
 // since the sparse-first pipeline refactor the CSR form (linalg::CsrMatrix)
 // is the source of truth for every problem's A. A dense view is retained as
 // an explicit, lazily-materialized escape hatch for consumers that genuinely
-// need contiguous storage (LU/LDLᵀ factorizations, crossbar programming,
-// the M1 preconditioner in ls_pdip).
+// need contiguous storage (LU factorizations, crossbar programming, the M1
+// preconditioner in ls_pdip).
 //
 // Dispatch contract: problems whose density is at or above the cutoff run
-// the legacy dense kernels (gemv / dense Schur) byte-for-byte — including
+// the legacy dense kernels (gemv) byte-for-byte — including
 // their CostLedger charges — so the pinned golden traces and the bench
 // baseline are unaffected. Sparse problems take the CSR kernels.
 #pragma once

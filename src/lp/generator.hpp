@@ -20,7 +20,7 @@
 // The structured family (multi_commodity_flow / block_diagonal / banded)
 // emits realistic sparsity patterns CSR-natively — no dense intermediate —
 // so problems with thousands of constraints stay cheap to generate and feed
-// the sparse Schur / sharded-crossbar paths (§3.5).
+// the CSR residual / sharded-crossbar paths (§3.5).
 #pragma once
 
 #include <cstddef>

@@ -102,18 +102,6 @@ TEST(EngineGolden, PdipPredictorCorrector) {
   check_golden("pdip_pc", iteration_lines(sink));
 }
 
-TEST(EngineGolden, PdipNormalEquations) {
-  const auto problem = golden_problem(12, 95);
-  obs::MemoryTraceSink sink;
-  core::PdipOptions options;
-  options.newton = core::NewtonFactorization::kNormalEquations;
-  options.predictor_corrector = true;
-  options.trace = &sink;
-  const auto result = core::solve_pdip(problem, options);
-  EXPECT_EQ(result.status, lp::SolveStatus::kOptimal);
-  check_golden("pdip_normal_pc", iteration_lines(sink));
-}
-
 // Pins the divergence path: the final record (emitted before the break)
 // must survive the refactor too.
 TEST(EngineGolden, PdipInfeasible) {

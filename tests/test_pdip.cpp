@@ -155,15 +155,6 @@ TEST_P(PredictorCorrectorSweep, MatchesPlainRuleWithFewerIterations) {
   ASSERT_EQ(pc.status, lp::SolveStatus::kOptimal);
   EXPECT_LT(lp::relative_error(pc.objective, reference.objective), 1e-4);
   EXPECT_LE(pc.iterations, base.iterations);
-
-  // And combined with the normal-equations system.
-  PdipOptions both;
-  both.predictor_corrector = true;
-  both.newton = NewtonFactorization::kNormalEquations;
-  const auto combined = solve_pdip(problem, both);
-  ASSERT_EQ(combined.status, lp::SolveStatus::kOptimal);
-  EXPECT_LT(lp::relative_error(combined.objective, reference.objective),
-            1e-4);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, PredictorCorrectorSweep,
