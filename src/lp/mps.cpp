@@ -82,7 +82,9 @@ struct Parser {
     try {
       std::size_t consumed = 0;
       const double value = std::stod(cleaned, &consumed);
-      if (consumed != cleaned.size())
+      // std::stod also parses nan/inf/infinity; MPS data is finite (an
+      // infinite bound is written with its bound type: PL, or no UP).
+      if (consumed != cleaned.size() || !std::isfinite(value))
         fail(MpsError::Kind::kNumber, "bad number '" + token + "'");
       return value;
     } catch (const MpsError&) {

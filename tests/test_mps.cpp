@@ -114,6 +114,33 @@ TEST(MpsErrors, BadNumberNamesTheLine) {
   EXPECT_EQ(e.line(), 6u);
   EXPECT_NE(std::string(e.what()).find("bad_number.mps:6"),
             std::string::npos);
+
+  // Non-finite tokens parse as numbers under std::stod; the reader must
+  // still reject them at file:line, in A (line 6) or in the RHS (line 8).
+  for (const std::string token : {"nan", "inf", "-Infinity"}) {
+    SCOPED_TRACE(token);
+    for (const bool in_rhs : {false, true}) {
+      const std::string a_value = in_rhs ? "1.0" : token;
+      const std::string b_value = in_rhs ? token : "5.0";
+      std::istringstream in("NAME NONFINITE\n"
+                            "ROWS\n"
+                            " N COST\n"
+                            " L R1\n"
+                            "COLUMNS\n"
+                            " X1 COST -1.0 R1 " + a_value + "\n"
+                            "RHS\n"
+                            " RHS R1 " + b_value + "\n"
+                            "ENDATA\n");
+      const MpsError error =
+          expect_mps_error([&] { (void)read_mps(in, "nonfinite.mps"); });
+      EXPECT_EQ(error.kind(), MpsError::Kind::kNumber);
+      const std::size_t line = in_rhs ? 8u : 6u;
+      EXPECT_EQ(error.line(), line);
+      EXPECT_NE(std::string(error.what()).find("nonfinite.mps:" +
+                                               std::to_string(line)),
+                std::string::npos);
+    }
+  }
 }
 
 TEST(MpsErrors, UnknownRowNamesTheLine) {
