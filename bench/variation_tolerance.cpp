@@ -50,7 +50,7 @@ int main() {
       // Exact solve of the perturbed problem.
       lp::LinearProgram perturbed = problem;
       Rng rng(config.seed + 7000 * m + trial);
-      Matrix perturbed_a = perturbed.a.dense();
+      Matrix perturbed_a = perturbed.a.to_dense();
       mem::VariationModel::uniform(0.10).perturb(perturbed_a, rng);
       perturbed.a = std::move(perturbed_a);
       const auto perturbed_result = solvers::solve_simplex(perturbed);

@@ -51,7 +51,7 @@ int main() {
     lp::LinearProgram perturbed = problem;
     Rng perturb_rng(500 + static_cast<std::uint64_t>(level * 1000));
     if (level > 0.0) {
-      Matrix perturbed_a = perturbed.a.dense();
+      Matrix perturbed_a = perturbed.a.to_dense();
       mem::VariationModel::uniform(level).perturb(perturbed_a, perturb_rng);
       perturbed.a = std::move(perturbed_a);
     }

@@ -68,7 +68,7 @@ Matrix assemble_kkt(const lp::LinearProgram& problem,
 
   // CSR iteration: only stored entries are written, structural zeros stay
   // zero — identical to the old dense fill, O(nnz) instead of O(m·n).
-  const CsrMatrix& a = problem.a.csr();
+  const CsrMatrix& a = problem.a;
   const auto offsets = a.row_offsets();
   const auto cols = a.column_indices();
   const auto values = a.values();

@@ -17,11 +17,30 @@ namespace {
 
 /// Mean |a_ij| over ALL cells (structural zeros included), computed from the
 /// CSR values — matches the old dense definition exactly.
-double mean_abs(const lp::ConstraintMatrix& a) {
+double mean_abs(const CsrMatrix& a) {
   double sum = 0.0;
-  for (double v : a.csr().values()) sum += std::abs(v);
+  for (double v : a.values()) sum += std::abs(v);
   const std::size_t count = a.rows() * a.cols();
   return count == 0 ? 0.0 : sum / static_cast<double>(count);
+}
+
+/// M1 = [A | 0; 0 | Aᵀ] in an (m+n)×(n+m) matrix, written from the stored
+/// entries of A only (structural zeros stay zero), as assemble_kkt does. The
+/// callers fill the off-diagonal blocks.
+Matrix place_a_blocks(const CsrMatrix& a) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  Matrix m1(m + n, n + m);
+  const auto offsets = a.row_offsets();
+  const auto cols = a.column_indices();
+  const auto values = a.values();
+  // Row block 1: [A | ·], row block 2: [· | Aᵀ].
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+      m1(i, cols[k]) = values[k];
+      m1(m + cols[k], n + i) = values[k];
+    }
+  return m1;
 }
 
 }  // namespace
@@ -32,16 +51,8 @@ Matrix build_balanced_m1(const lp::LinearProgram& problem,
   problem.validate();
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
-  // M1 is dense by construction (the balancing fill populates the corners),
-  // so this path reads A through the dense escape hatch.
-  const Matrix& a = problem.a.dense();
-  Matrix m1(m + n, n + m);
   // Row block 1: [A | RU], row block 2: [RL | Aᵀ].
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) m1(i, j) = a(i, j);
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = 0; i < m; ++i) m1(m + j, n + i) = a(i, j);
-
+  Matrix m1 = place_a_blocks(problem.a);
   const double epsilon =
       balancing_scale * std::max(mean_abs(problem.a), 1e-12);
   const bool fill_ru = fill == BalancingFill::kBoth || m >= n;
@@ -62,12 +73,7 @@ Matrix build_schur_m1(const lp::LinearProgram& problem,
   problem.validate();
   const std::size_t n = problem.num_variables();
   const std::size_t m = problem.num_constraints();
-  const Matrix& a = problem.a.dense();
-  Matrix m1(m + n, n + m);
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < n; ++j) m1(i, j) = a(i, j);
-  for (std::size_t j = 0; j < n; ++j)
-    for (std::size_t i = 0; i < m; ++i) m1(m + j, n + i) = a(i, j);
+  Matrix m1 = place_a_blocks(problem.a);
   for (std::size_t i = 0; i < m; ++i)
     m1(i, n + i) = -std::min(state.w[i] / state.y[i], ratio_cap);
   for (std::size_t j = 0; j < n; ++j)

@@ -20,7 +20,7 @@ struct SolveContext {
   std::optional<NegativeFreeSystem> negfree;
   std::unique_ptr<AnalogBackend> backend;
   xbar::AmplifierBank amps;
-  lp::ConstraintMatrix a_scaled;  ///< the constraint matrix the array holds.
+  CsrMatrix a_scaled;  ///< the constraint matrix the array holds.
   bool array_programmed = false;
 };
 
@@ -39,10 +39,8 @@ XbarSolveOutcome solve_with_context(const lp::LinearProgram& original,
   obs::ProfileSpan profile_root("xbar");
 
   // Context reuse: the array's structural blocks depend only on (scaled) A.
-  const bool same_a = context.negfree.has_value() &&
-                      context.a_scaled.rows() == problem.a.rows() &&
-                      context.a_scaled.cols() == problem.a.cols() &&
-                      context.a_scaled == problem.a;
+  const bool same_a =
+      context.negfree.has_value() && context.a_scaled == problem.a;
   if (!same_a) {
     // The augmented system's sign pattern is fixed by A, Aᵀ, and −I; the
     // all-ones state gives the structural matrix.

@@ -298,17 +298,12 @@ void Crossbar::apply_half_select_disturb(std::size_t r, std::size_t c) {
     if (i != r) nudge(i, c);
 }
 
-void Crossbar::apply_sense_divider(Vec& out, bool transposed) const {
+void Crossbar::apply_sense_divider(Vec& out) const {
   if (config_.compensate_sense_divider) return;
   const double gs = config_.sense_conductance;
   for (std::size_t k = 0; k < out.size(); ++k) {
     double sum = 0.0;
-    if (transposed) {
-      for (std::size_t i = 0; i < effective_g_.rows(); ++i)
-        sum += effective_g_(i, k);
-    } else {
-      for (double g : effective_g_.row(k)) sum += g;
-    }
+    for (double g : effective_g_.row(k)) sum += g;
     out[k] *= gs / (gs + sum);
   }
 }
@@ -335,23 +330,7 @@ Vec Crossbar::multiply(std::span<const double> x, IoBoundary io) {
   const std::span<const double> input =
       quantize_input(io) ? std::span<const double>(quantized) : x;
   Vec out = gemv(effective_, input);
-  apply_sense_divider(out, /*transposed=*/false);
-  apply_read_noise(out);
-  if (quantize_output(io)) io_.quantize(out);
-  ++stats_.mvm_ops;
-  obs::CostLedger::charge_active({.settles = 1});
-  return out;
-}
-
-// memlint:hot — transposed analog MVM readout on the settle path.
-Vec Crossbar::multiply_transposed(std::span<const double> x, IoBoundary io) {
-  MEMLP_EXPECT(programmed());
-  MEMLP_EXPECT_MSG(x.size() == rows(), "multiply_transposed: size mismatch");
-  const Vec quantized = quantize_input(io) ? io_.quantized(x) : Vec();
-  const std::span<const double> input =
-      quantize_input(io) ? std::span<const double>(quantized) : x;
-  Vec out = gemv_transposed(effective_, input);
-  apply_sense_divider(out, /*transposed=*/true);
+  apply_sense_divider(out);
   apply_read_noise(out);
   if (quantize_output(io)) io_.quantize(out);
   ++stats_.mvm_ops;

@@ -200,10 +200,6 @@ class Crossbar {
   [[nodiscard]] Vec multiply(std::span<const double> x,
                              IoBoundary io = IoBoundary::kBoth);
 
-  /// Analog MVM from the bit-line side: returns ≈ Aᵀ·x (one settle).
-  [[nodiscard]] Vec multiply_transposed(std::span<const double> x,
-                                        IoBoundary io = IoBoundary::kBoth);
-
   /// Analog solve of A·x = b (square arrays only). Returns nullopt when the
   /// effective array is singular — physically, the array fails to settle.
   [[nodiscard]] std::optional<Vec> solve(std::span<const double> b,
@@ -242,10 +238,9 @@ class Crossbar {
   [[nodiscard]] double logical_from_conductance(double g_eff, std::size_t r,
                                                 std::size_t c) const noexcept;
 
-  /// Applies the Eq. (5) divider attenuation to an output vector when
-  /// compensation is disabled. `row_oriented` selects which dimension the
-  /// outputs correspond to.
-  void apply_sense_divider(Vec& out, bool transposed) const;
+  /// Applies the Eq. (5) divider attenuation to an MVM output vector (one
+  /// entry per row) when compensation is disabled.
+  void apply_sense_divider(Vec& out) const;
 
   /// Adds per-read Gaussian noise (read_noise_sigma of the vector's scale).
   void apply_read_noise(Vec& out);

@@ -1,11 +1,10 @@
 // Compressed sparse row (CSR) matrix.
 //
-// §3.5 notes that LP constraint matrices are typically sparse; since the
-// sparse-first pipeline refactor the CSR form is the source of truth for
-// lp::LinearProgram constraint matrices: the software baselines run their
-// residual MVMs over CSR, and the sparsity-aware crossbar programming
-// (structural zeros are free) mirrors the same observation on the hardware
-// side.
+// §3.5 notes that LP constraint matrices are typically sparse; the CSR form
+// is the one representation of lp::LinearProgram constraint matrices: every
+// product with A runs the CSR kernels below, and the sparsity-aware crossbar
+// programming (structural zeros are free) mirrors the same observation on
+// the hardware side.
 //
 // Canonical form invariant: within every row the column indices are strictly
 // increasing, duplicates are summed at construction, and exact zeros are
@@ -29,6 +28,11 @@ class CsrMatrix {
 
   /// Compresses a dense matrix; entries with |value| <= threshold drop out.
   static CsrMatrix from_dense(const Matrix& dense, double threshold = 0.0);
+
+  /// Same as from_dense(dense). Implicit on purpose, so
+  /// `problem.a = Matrix{{...}}` call sites keep working.
+  CsrMatrix(const Matrix& dense)  // NOLINT(google-explicit-constructor)
+      : CsrMatrix(from_dense(dense)) {}
 
   /// Builds from coordinate triplets (row, col, value); duplicates are
   /// summed. Throws DimensionError on out-of-range coordinates.

@@ -118,7 +118,7 @@ LinearProgram random_feasible(const GeneratorOptions& options, Rng& rng) {
 LinearProgram random_infeasible(const GeneratorOptions& options, Rng& rng) {
   MEMLP_EXPECT(options.constraints >= 2);
   LinearProgram lp = random_feasible(options, rng);
-  Matrix a = lp.a.dense();
+  Matrix a = lp.a.to_dense();
   const std::size_t n = a.cols();
   // Overwrite the last two rows with a contradiction: u·x <= beta and
   // u·x >= 2·beta for u > 0, beta > 0 — unsatisfiable for any x >= 0.

@@ -442,7 +442,7 @@ std::string to_mps(const LinearProgram& problem, const std::string& name) {
   os << "COLUMNS\n";
   // Column j's entries are row j of Aᵀ. Every column gets a COST entry
   // (even a zero one) so the reader recreates the exact column order.
-  const CsrMatrix at = problem.a.csr().transposed();
+  const CsrMatrix at = problem.a.transposed();
   const auto offsets = at.row_offsets();
   const auto cols = at.column_indices();
   const auto values = at.values();

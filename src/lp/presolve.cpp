@@ -54,7 +54,7 @@ Vec PresolveResult::restore(std::span<const double> reduced_x,
 
 PresolveResult presolve(const LinearProgram& problem) {
   problem.validate();
-  const CsrMatrix& a = problem.a.csr();
+  const CsrMatrix& a = problem.a;
   const std::size_t m = problem.num_constraints();
   const std::size_t n = problem.num_variables();
   const auto offsets = a.row_offsets();

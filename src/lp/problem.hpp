@@ -11,18 +11,18 @@
 #include <string>
 
 #include "linalg/matrix.hpp"
-#include "lp/constraint_matrix.hpp"
+#include "linalg/sparse.hpp"
 
 namespace memlp::lp {
 
 /// A linear program in the paper's canonical (inequality) form. The
-/// constraint matrix is held sparse-first (CSR source of truth with a
-/// lazily-materialized dense escape hatch, see lp/constraint_matrix.hpp);
-/// assigning a dense Matrix still works and keeps that dense storage cached.
+/// constraint matrix is held in CSR form; assigning a dense Matrix compresses
+/// it. Nothing in a LinearProgram is mutable, so a shared problem is safe to
+/// read from any thread.
 struct LinearProgram {
-  ConstraintMatrix a;  ///< m x n constraint matrix.
-  Vec b;               ///< m right-hand sides.
-  Vec c;               ///< n objective coefficients (maximization).
+  CsrMatrix a;  ///< m x n constraint matrix.
+  Vec b;        ///< m right-hand sides.
+  Vec c;        ///< n objective coefficients (maximization).
 
   [[nodiscard]] std::size_t num_constraints() const noexcept {
     return a.rows();

@@ -259,52 +259,6 @@ Vec TiledCrossbarMatrix::multiply(std::span<const double> x,
   return out;
 }
 
-Vec TiledCrossbarMatrix::multiply_transposed(std::span<const double> x,
-                                             xbar::Crossbar::IoBoundary io) {
-  MEMLP_EXPECT(programmed());
-  MEMLP_EXPECT_MSG(x.size() == rows_, "tiled multiply_transposed: mismatch");
-  using IoBoundary = xbar::Crossbar::IoBoundary;
-  const IoBoundary tile_io =
-      (io == IoBoundary::kBoth || io == IoBoundary::kInputOnly)
-          ? IoBoundary::kInputOnly
-          : IoBoundary::kNone;
-  Vec out(cols_, 0.0);
-  // Mirror of multiply(): block columns are independent, each task owns the
-  // tiles of its column and accumulates in bi order.
-  std::vector<NocStats> local(col_blocks_.size());
-  std::vector<xbar::AmplifierBank> banks(col_blocks_.size());
-  par::parallel_for(
-      col_blocks_.size(),
-      [&](std::size_t bj) {
-        const auto& cb = col_blocks_[bj];
-        Vec accumulator(cb.length, 0.0);
-        for (std::size_t bi = 0; bi < row_blocks_.size(); ++bi) {
-          const auto& rb = row_blocks_[bi];
-          const std::size_t t = tile_index(bi, bj);
-          // A zero shard contributes nothing: no broadcast, no settle.
-          if (tile_zero_[t] != 0) continue;
-          charge(local[bj], rb.length, topology_->hops_to_root(t));
-          const Vec partial = tile(bi, bj).multiply_transposed(
-              x.subspan(rb.begin, rb.length), tile_io);
-          ++local[bj].tile_settles;
-          charge(local[bj], cb.length, topology_->hops_to_root(t));
-          accumulator = banks[bj].add(accumulator, partial);
-        }
-        std::copy(accumulator.begin(), accumulator.end(),
-                  out.begin() + static_cast<std::ptrdiff_t>(cb.begin));
-      },
-      config_.threads);
-  for (std::size_t bj = 0; bj < col_blocks_.size(); ++bj) {
-    stats_ += local[bj];
-    amps_.absorb(banks[bj].stats());
-  }
-  if (io == IoBoundary::kBoth || io == IoBoundary::kOutputOnly) {
-    const xbar::Quantizer adc(config_.xbar.io_bits);
-    adc.quantize(out);
-  }
-  return out;
-}
-
 Matrix TiledCrossbarMatrix::assemble_effective() const {
   MEMLP_EXPECT(programmed());
   Matrix full(rows_, cols_);

@@ -129,11 +129,6 @@ class TiledCrossbarMatrix {
       std::span<const double> x,
       xbar::Crossbar::IoBoundary io = xbar::Crossbar::IoBoundary::kBoth);
 
-  /// Distributed analog MVM from the other side: ≈ Aᵀ·x.
-  [[nodiscard]] Vec multiply_transposed(
-      std::span<const double> x,
-      xbar::Crossbar::IoBoundary io = xbar::Crossbar::IoBoundary::kBoth);
-
   /// Composite-network solve of A·x = b (square matrices): the arbiters wire
   /// all tiles into one Kirchhoff network and the structure settles once.
   /// Returns nullopt when the effective composite matrix is singular.

@@ -37,7 +37,7 @@ class Tableau {
     // The tableau is dense anyway; fill its A block from the CSR entries so
     // sparse problems skip the structural zeros.
     {
-      const auto& a = problem.a.csr();
+      const auto& a = problem.a;
       const auto offsets = a.row_offsets();
       const auto cols = a.column_indices();
       const auto values = a.values();

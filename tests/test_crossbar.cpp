@@ -81,19 +81,6 @@ TEST(Crossbar, MultiplyMatchesEffectiveMath) {
     EXPECT_NEAR(y[i], expected[i], 1e-12);
 }
 
-TEST(Crossbar, MultiplyTransposedMatchesEffectiveMath) {
-  Rng rng(8);
-  const Matrix a = random_nonneg(4, 9, rng);
-  Crossbar xbar(ideal_config(), Rng(9));
-  xbar.program(a);
-  Vec x(4);
-  for (double& v : x) v = rng.uniform(-1.0, 1.0);
-  const Vec y = xbar.multiply_transposed(x);
-  const Vec expected = gemv_transposed(xbar.effective(), x);
-  for (std::size_t i = 0; i < y.size(); ++i)
-    EXPECT_NEAR(y[i], expected[i], 1e-12);
-}
-
 TEST(Crossbar, EightBitIoBoundsMvmError) {
   Rng rng(10);
   const Matrix a = random_nonneg(12, 12, rng);

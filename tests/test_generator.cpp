@@ -36,11 +36,11 @@ TEST(Generator, NegativeFractionControlsSigns) {
   options.constraints = 30;
   options.negative_fraction = 0.0;
   const LinearProgram nonneg = random_feasible(options, rng);
-  EXPECT_TRUE(nonneg.a.nonnegative());
+  EXPECT_TRUE(nonneg.a.to_dense().nonnegative());
 
   options.negative_fraction = 0.5;
   const LinearProgram mixed = random_feasible(options, rng);
-  EXPECT_FALSE(mixed.a.nonnegative());
+  EXPECT_FALSE(mixed.a.to_dense().nonnegative());
 }
 
 TEST(Generator, SparsityProducesZeros) {
@@ -91,7 +91,7 @@ TEST(Generator, MaxFlowRoutingIsSolvableAndBounded) {
   Rng rng(5);
   const LinearProgram lp = max_flow_routing(2, 3, rng);
   // Conservation rows make A carry negative entries.
-  EXPECT_FALSE(lp.a.nonnegative());
+  EXPECT_FALSE(lp.a.to_dense().nonnegative());
   const auto result = solvers::solve_simplex(lp);
   ASSERT_EQ(result.status, SolveStatus::kOptimal);
   EXPECT_GT(result.objective, 0.0);  // some flow can always be pushed
@@ -112,7 +112,7 @@ TEST(Generator, MaxFlowRespectsSourceCapacity) {
 TEST(Generator, ProductionSchedulingIsNonNegativeLp) {
   Rng rng(7);
   const LinearProgram lp = production_scheduling(6, 4, rng);
-  EXPECT_TRUE(lp.a.nonnegative());
+  EXPECT_TRUE(lp.a.to_dense().nonnegative());
   EXPECT_EQ(lp.num_constraints(), 4u);
   EXPECT_EQ(lp.num_variables(), 6u);
   const auto result = solvers::solve_simplex(lp);
@@ -149,7 +149,7 @@ TEST(Generator, DietIsFeasibleCostMinimization) {
   const LinearProgram lp = diet(8, 5, rng);
   EXPECT_EQ(lp.num_variables(), 8u);
   EXPECT_EQ(lp.num_constraints(), 13u);
-  EXPECT_FALSE(lp.a.nonnegative());  // nutrient-minimum rows are negative
+  EXPECT_FALSE(lp.a.to_dense().nonnegative());  // nutrient-minimum rows are negative
   const auto result = solvers::solve_simplex(lp);
   ASSERT_EQ(result.status, SolveStatus::kOptimal);
   EXPECT_LT(result.objective, 0.0);  // minimized cost, negated

@@ -87,7 +87,7 @@ TEST(Integration, VariationToleranceMirrorsPaperObservation) {
   lp::LinearProgram perturbed = problem;
   const mem::VariationModel variation = mem::VariationModel::uniform(0.10);
   Rng vrng(5);
-  Matrix perturbed_a = perturbed.a.dense();
+  Matrix perturbed_a = perturbed.a.to_dense();
   variation.perturb(perturbed_a, vrng);
   perturbed.a = std::move(perturbed_a);
   const auto perturbed_result = solvers::solve_simplex(perturbed);

@@ -33,7 +33,7 @@ TEST(Mps, ReadsFixedFormatMinimizeFixture) {
   // MINIMIZE negates c into canonical max form.
   EXPECT_DOUBLE_EQ(model.problem.c[0], 3.0);
   EXPECT_DOUBLE_EQ(model.problem.c[1], 5.0);
-  EXPECT_DOUBLE_EQ(model.problem.a(2, 0), 3.0);
+  EXPECT_DOUBLE_EQ(model.problem.a.at(2, 0), 3.0);
   EXPECT_DOUBLE_EQ(model.problem.b[2], 18.0);
 
   const auto result = solvers::solve_simplex(model.problem);
@@ -90,7 +90,7 @@ TEST(Mps, FortranExponentsAreAccepted) {
       " RHS R1 1D1\n"
       "ENDATA\n");
   const MpsModel model = read_mps(in, "fortran.mps");
-  EXPECT_DOUBLE_EQ(model.problem.a(0, 0), 0.25);
+  EXPECT_DOUBLE_EQ(model.problem.a.at(0, 0), 0.25);
   EXPECT_DOUBLE_EQ(model.problem.b[0], 10.0);
 }
 

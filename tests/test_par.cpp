@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -25,6 +28,7 @@
 #include "linalg/lu.hpp"
 #include "linalg/ops.hpp"
 #include "lp/generator.hpp"
+#include "lp/mps.hpp"
 #include "noc/tiled.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -167,12 +171,6 @@ TEST(TiledPar, ProgramAndMultiplyBitIdenticalAcrossThreadCounts) {
   const Vec y1 = serial.multiply(x);
   const Vec y4 = parallel.multiply(x);
   for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_EQ(y1[i], y4[i]);
-
-  Vec xt(13);
-  for (double& v : xt) v = data_rng.uniform(-1.0, 1.0);
-  const Vec z1 = serial.multiply_transposed(xt);
-  const Vec z4 = parallel.multiply_transposed(xt);
-  for (std::size_t i = 0; i < z1.size(); ++i) EXPECT_EQ(z1[i], z4[i]);
 
   // update_block spanning several tiles, then another readout.
   Rng update_rng(12);
@@ -350,6 +348,45 @@ TEST(BatchPar, MetricsCountersExactUnderConcurrency) {
   ASSERT_EQ(outcomes.size(), 8u);
   EXPECT_EQ(registry.counter("batch.problems").value() - problems_before, 8u);
   EXPECT_EQ(registry.counter("xbar.solves").value() - solves_before, 8u);
+}
+
+/// Bit patterns of a vector, so ±0 and NaN payloads compare exactly.
+std::vector<std::uint64_t> bits(const Vec& v) {
+  std::vector<std::uint64_t> out;
+  for (double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+
+TEST(BatchPar, SharedDenseCsrProblemIsSafeToReadFromEveryWorker) {
+  // One problem shared by four concurrent pdip items. Its A is dense
+  // (density >= 0.25) and built CSR-only, as read_mps builds it, so every
+  // worker's residual MVMs read the same LinearProgram at once: nothing in
+  // it may be filled in lazily.
+  lp::GeneratorOptions gen;
+  gen.constraints = 24;
+  Rng rng(2024);
+  std::istringstream mps(lp::to_mps(lp::random_feasible(gen, rng)));
+  const lp::LinearProgram problem = lp::read_mps(mps).problem;
+  ASSERT_GE(problem.a.density(), 0.25);
+
+  std::vector<engine::BatchItem> items(4);
+  for (auto& item : items) {
+    item.problem = &problem;
+    item.request.solver = "pdip";
+  }
+  const auto reports = engine::solve_batch(items, /*threads=*/4);
+  ASSERT_EQ(reports.size(), 4u);
+  ASSERT_EQ(reports[0].result.status, lp::SolveStatus::kOptimal);
+  for (const auto& report : reports) {
+    EXPECT_EQ(report.result.status, reports[0].result.status);
+    EXPECT_EQ(report.result.iterations, reports[0].result.iterations);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(report.result.objective),
+              std::bit_cast<std::uint64_t>(reports[0].result.objective));
+    EXPECT_EQ(bits(report.result.x), bits(reports[0].result.x));
+    EXPECT_EQ(bits(report.result.y), bits(reports[0].result.y));
+    EXPECT_EQ(bits(report.result.w), bits(reports[0].result.w));
+    EXPECT_EQ(bits(report.result.z), bits(reports[0].result.z));
+  }
 }
 
 // --- parallel LU ------------------------------------------------------------

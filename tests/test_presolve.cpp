@@ -90,7 +90,7 @@ TEST(Presolve, DuplicateTripletsAccumulateIntoOneEntry) {
       2, 2, {{0, 1, 0.5}, {0, 1, 1.5}, {1, 0, 1.0}, {1, 1, 1.0}});
   problem.b = {0.0, 4.0};
   problem.c = {1.0, 1.0};
-  EXPECT_DOUBLE_EQ(problem.a(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(problem.a.at(0, 1), 2.0);
   // Row 0 is the singleton 2*x2 <= 0: x2 is fixed at zero and eliminated.
   const auto result = presolve(problem);
   ASSERT_EQ(result.outcome, PresolveResult::Outcome::kReduced);
@@ -134,8 +134,8 @@ TEST(Presolve, ReducedMatrixIsCanonicalCsr) {
   problem.c = {1.0, -1.0, 1.0};
   const auto result = presolve(problem);
   ASSERT_EQ(result.outcome, PresolveResult::Outcome::kReduced);
-  const CsrMatrix& reduced = result.reduced.a.csr();
-  EXPECT_EQ(reduced, CsrMatrix::from_dense(result.reduced.a.dense()));
+  const CsrMatrix& reduced = result.reduced.a;
+  EXPECT_EQ(reduced, CsrMatrix::from_dense(reduced.to_dense()));
   // Column 1 died (its only entries cancelled, and c[1] < 0); row 1
   // emptied and was dropped.
   EXPECT_EQ(result.kept_columns, (std::vector<std::size_t>{0, 2}));
@@ -165,7 +165,7 @@ TEST_P(PresolveEquivalence, ObjectiveIsPreserved) {
   LinearProgram problem = random_feasible(options, rng);
   // Inject removable structure: a zero row, a duplicate row, a dead column.
   const std::size_t m = problem.num_constraints();
-  Matrix a = problem.a.dense();
+  Matrix a = problem.a.to_dense();
   for (std::size_t j = 0; j < problem.num_variables(); ++j) {
     a(m - 1, j) = 0.0;                           // zero row
     a(m - 2, j) = a(0, j);                       // duplicate of row 0

@@ -46,8 +46,8 @@ TEST(Problem, DualSwapsShapes) {
   EXPECT_EQ(dual.num_variables(), lp.num_constraints());
   // Dual of max cᵀx s.t. Ax<=b is min bᵀy s.t. Aᵀy>=c, recast as
   // max (−b)ᵀy s.t. (−Aᵀ)y <= −c.
-  EXPECT_DOUBLE_EQ(dual.a(0, 0), -1.0);
-  EXPECT_DOUBLE_EQ(dual.a(1, 1), -1.0);
+  EXPECT_DOUBLE_EQ(dual.a.at(0, 0), -1.0);
+  EXPECT_DOUBLE_EQ(dual.a.at(1, 1), -1.0);
   EXPECT_DOUBLE_EQ(dual.b[0], -1.0);
   EXPECT_DOUBLE_EQ(dual.c[0], -4.0);
 }

@@ -59,7 +59,7 @@ TEST(Session, ChangedAReprogramsTransparently) {
             lp::SolveStatus::kOptimal);
 
   lp::LinearProgram changed = problem;
-  Matrix changed_a = changed.a.dense();
+  Matrix changed_a = changed.a.to_dense();
   changed_a(0, 0) += 0.5;  // structural change
   changed.a = std::move(changed_a);
   const auto outcome = session.solve(changed);

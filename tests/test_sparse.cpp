@@ -9,6 +9,8 @@
 #include "common/rng.hpp"
 #include "linalg/ops.hpp"
 #include "linalg/sparse.hpp"
+#include "lp/problem.hpp"
+#include "obs/cost_ledger.hpp"
 
 namespace memlp {
 namespace {
@@ -81,6 +83,30 @@ TEST_P(CsrMvmSweep, MatchesDenseAcrossSparsity) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CsrMvmSweep,
                          ::testing::Values(0.0, 0.3, 0.7, 0.95, 1.0));
+
+TEST(Csr, ResidualMvmChargesTwoFlopsPerStoredEntry) {
+  // A partly dense A (every other entry nonzero, density 0.5): the residual
+  // MVM runs the CSR kernel, so the ledger sees 2·nnz flops, not 2·m·n.
+  Rng rng(21);
+  Matrix dense(12, 10);
+  for (std::size_t i = 0; i < dense.rows(); ++i)
+    for (std::size_t j = (i % 2); j < dense.cols(); j += 2)
+      dense(i, j) = rng.uniform(0.5, 1.5);
+  lp::LinearProgram problem;
+  problem.a = dense;
+  problem.b.assign(12, 1.0);
+  problem.c.assign(10, 1.0);
+  ASSERT_DOUBLE_EQ(problem.a.density(), 0.5);
+  const Vec x(10, 1.0);
+  const Vec w(12, 0.5);
+
+  obs::CostLedger ledger;
+  obs::CostLedger::set_active(&ledger);
+  const double residual = problem.primal_infeasibility(x, w);
+  obs::CostLedger::set_active(nullptr);
+  EXPECT_GT(residual, 0.0);
+  EXPECT_EQ(ledger.total().flops, 2u * problem.a.nnz());
+}
 
 }  // namespace
 }  // namespace memlp

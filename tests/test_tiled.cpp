@@ -65,19 +65,6 @@ TEST(Tiled, MultiplyMatchesDenseMvm) {
     EXPECT_NEAR(y[i], expected[i], 1e-10);
 }
 
-TEST(Tiled, MultiplyTransposedMatchesDense) {
-  Rng rng(6);
-  const Matrix a = random_nonneg(8, 14, rng);
-  TiledCrossbarMatrix tiled(ideal_tiled(6), Rng(7));
-  tiled.program(a);
-  Vec x(8);
-  for (double& v : x) v = rng.uniform(-1.0, 1.0);
-  const Vec y = tiled.multiply_transposed(x);
-  const Vec expected = gemv_transposed(tiled.assemble_effective(), x);
-  for (std::size_t i = 0; i < y.size(); ++i)
-    EXPECT_NEAR(y[i], expected[i], 1e-10);
-}
-
 TEST(Tiled, CompositeSolveMatchesDenseSolve) {
   Rng rng(8);
   Matrix a = random_nonneg(10, 10, rng);
