@@ -21,8 +21,10 @@
 #      tile/linalg paths, and the trace/metrics/profiler sinks are
 #      race-free.
 #   3. Smoke bench: fig6a_latency + fig7a_energy + complexity_scaling +
-#      ablation_sparsity at a pinned tiny sweep (fixed seed, MEMLP_MAX_M=16,
-#      2 trials) into a temp dir, then memlp_report against the committed
+#      ablation_sparsity + noc_scalability (xbar on a forced NoC) +
+#      fig7b_energy_ls (the two-array ls solver) at a pinned tiny sweep
+#      (fixed seed, MEMLP_MAX_M=16, 2 trials) into a temp dir, then
+#      memlp_report against the committed
 #      results/json/baseline tree — the regression gate from
 #      docs/observability.md. Deterministic estimated metrics (including
 #      the settle-cache factorization counts, settle flops, and nnz,
@@ -90,5 +92,7 @@ env "${SMOKE_ENV[@]}" "$STATIC_BUILD_DIR/bench/fig6a_latency" > /dev/null
 env "${SMOKE_ENV[@]}" "$STATIC_BUILD_DIR/bench/fig7a_energy" > /dev/null
 env "${SMOKE_ENV[@]}" "$STATIC_BUILD_DIR/bench/complexity_scaling" > /dev/null
 env "${SMOKE_ENV[@]}" "$STATIC_BUILD_DIR/bench/ablation_sparsity" > /dev/null
+env "${SMOKE_ENV[@]}" "$STATIC_BUILD_DIR/bench/noc_scalability" > /dev/null
+env "${SMOKE_ENV[@]}" "$STATIC_BUILD_DIR/bench/fig7b_energy_ls" > /dev/null
 "$STATIC_BUILD_DIR/tools/memlp_report" --require-coverage \
   --tolerance-measured 5.0 results/json/baseline "$SMOKE_DIR"

@@ -2,7 +2,7 @@
 """Checks that two builds solve the same LP identically, timings aside.
 
     scripts/trace_parity.py OLD_BUILD NEW_BUILD [--m 256] [--seed 1]
-                            [--solvers pdip,ls,xbar]
+                            [--solvers pdip,ls,xbar] [--tile-dim N]
 
 OLD_BUILD and NEW_BUILD are CMake build trees (each holding
 tools/memlp_gen and tools/memlp_solve). The script generates one LP with
@@ -12,6 +12,11 @@ record by record: same record count, same fields, same values. Only timing
 fields (`ts`, and any field ending in `seconds`, `_s` or `_ms`) are left
 out of the comparison. It also checks that both builds generate the same
 MPS file and exit with the same status.
+
+`--tile-dim N` passes `--tile-dim N` to the xbar and ls solves, which
+forces their arrays onto the tiled NoC with tiles of side N, so the tiled
+write path and the composite settle are compared too (pdip has no array
+and runs as without it).
 
 Use it for changes that must not alter any solve (kernel speedups,
 refactors): it exits 0 when every trace matches and 1 on any difference,
@@ -46,9 +51,12 @@ def generate(build, m, seed, out):
                        stdout=sink, check=True)
 
 
-def solve(build, solver, mps, trace):
-    done = subprocess.run([tool(build, "memlp_solve"), "--solver", solver,
-                           "--trace", str(trace), "--quiet", str(mps)],
+def solve(build, solver, mps, trace, tile_dim):
+    command = [tool(build, "memlp_solve"), "--solver", solver,
+               "--trace", str(trace), "--quiet"]
+    if tile_dim and solver in ("xbar", "ls"):
+        command += ["--tile-dim", str(tile_dim)]
+    done = subprocess.run(command + [str(mps)],
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True)
     if done.returncode not in (0, 1):
@@ -81,6 +89,9 @@ def main():
     parser.add_argument("--m", type=int, default=256)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--solvers", default="pdip,ls,xbar")
+    parser.add_argument("--tile-dim", type=int, default=0,
+                        help="force xbar and ls onto the NoC with this "
+                             "tile side (0 = each solver's default)")
     args = parser.parse_args()
 
     failed = False
@@ -95,9 +106,9 @@ def main():
         failed |= not same_mps
         for solver in args.solvers.split(","):
             old_code, old = solve(args.old_build, solver, old_mps,
-                                  tmp / f"{solver}.old.jsonl")
+                                  tmp / f"{solver}.old.jsonl", args.tile_dim)
             new_code, new = solve(args.new_build, solver, old_mps,
-                                  tmp / f"{solver}.new.jsonl")
+                                  tmp / f"{solver}.new.jsonl", args.tile_dim)
             found = differences(old, new)
             if old_code != new_code:
                 found.insert(0, f"exit code {old_code} != {new_code}")

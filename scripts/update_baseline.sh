@@ -30,6 +30,8 @@ env "${PINNED_ENV[@]}" "$BUILD_DIR/bench/fig6a_latency" > /dev/null
 env "${PINNED_ENV[@]}" "$BUILD_DIR/bench/fig7a_energy" > /dev/null
 env "${PINNED_ENV[@]}" "$BUILD_DIR/bench/complexity_scaling" > /dev/null
 env "${PINNED_ENV[@]}" "$BUILD_DIR/bench/ablation_sparsity" > /dev/null
+env "${PINNED_ENV[@]}" "$BUILD_DIR/bench/noc_scalability" > /dev/null
+env "${PINNED_ENV[@]}" "$BUILD_DIR/bench/fig7b_energy_ls" > /dev/null
 
 echo "baseline refreshed under $BASELINE_DIR:"
 ls -1 "$BASELINE_DIR"
