@@ -7,6 +7,7 @@
 #include "artifact.hpp"
 
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "crossbar/crossbar.hpp"
@@ -75,9 +76,12 @@ void BM_DiagonalUpdate(benchmark::State& state) {
   const Matrix a = random_nonneg(n, rng);
   xbar::Crossbar crossbar(paper_config(), Rng(8));
   crossbar.program(a, 2.0 * a.max_abs());
+  // One batch of n diagonal rewrites per iteration, as the solvers issue.
+  std::vector<xbar::CellUpdate> diagonal(n);
   double value = 0.5;
   for (auto _ : state) {
-    for (std::size_t i = 0; i < n; ++i) crossbar.update_cell(i, i, value);
+    for (std::size_t i = 0; i < n; ++i) diagonal[i] = {i, i, value};
+    crossbar.update_cells(diagonal);
     value = value == 0.5 ? 0.75 : 0.5;  // force level changes
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));

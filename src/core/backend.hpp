@@ -78,14 +78,10 @@ class AnalogBackend {
   virtual void program(const Matrix& a, double full_scale_hint,
                        PivotPlan plan = {}) = 0;
   /// Rewrites a batch of scattered cells in one controller transaction —
-  /// the per-PDIP-iteration diagonal refresh. One aggregated ledger charge
-  /// and one settle-cache notification pass instead of per-cell bookkeeping.
+  /// the one write after program(), used for the per-PDIP-iteration
+  /// diagonal refresh. One aggregated ledger charge and one settle-cache
+  /// notification pass instead of per-cell bookkeeping.
   virtual void update_cells(std::span<const xbar::CellUpdate> updates) = 0;
-  /// Single-cell convenience wrapper over update_cells().
-  virtual void update_cell(std::size_t r, std::size_t c, double value) {
-    const xbar::CellUpdate update{r, c, value};
-    update_cells({&update, 1});
-  }
   [[nodiscard]] virtual Vec multiply(std::span<const double> x,
                                      IoBoundary io = IoBoundary::kBoth) = 0;
   [[nodiscard]] virtual std::optional<Vec> solve(

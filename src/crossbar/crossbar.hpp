@@ -142,8 +142,8 @@ class Crossbar {
   /// Programs the full array to represent the non-negative matrix `a`.
   /// Re-programming with a different shape is allowed (a new array).
   /// `full_scale_hint` reserves mapping headroom: the conductance full-scale
-  /// covers max(a.max_abs(), full_scale_hint), so later update_block calls
-  /// with values up to the hint do not force a whole-array re-map. `plan`
+  /// covers max(a.max_abs(), full_scale_hint), so later update_cells writes
+  /// of values up to the hint do not force a whole-array re-map. `plan`
   /// is the pivot plan the simulator factors the settle array with
   /// (linalg/lu.hpp); empty = dense partial pivoting. Kirchhoff settles to
   /// the same vector either way.
@@ -156,21 +156,14 @@ class Crossbar {
   [[nodiscard]] std::size_t rows() const noexcept { return ideal_.rows(); }
   [[nodiscard]] std::size_t cols() const noexcept { return ideal_.cols(); }
 
-  /// Rewrites the rectangular block with origin (r0, c0). Only cells whose
-  /// programmed level changes are counted as written. If the block raises
-  /// the array's maximum value above the mapping full-scale, the whole array
-  /// is transparently re-programmed (a full-scale change re-maps every cell).
-  void update_block(std::size_t r0, std::size_t c0, const Matrix& block);
-
-  /// Rewrites a single cell (same contract as update_block).
-  void update_cell(std::size_t r, std::size_t c, double value);
-
-  /// Rewrites a batch of scattered cells in one pass — the per-PDIP-iteration
-  /// diagonal refresh path. Semantically each entry behaves like
-  /// update_cell(), but pulse/cell accounting is aggregated into a single
-  /// ledger charge and the settle cache is dropped only when some cell
-  /// actually changed. Returns the number of cells whose programmed level
-  /// changed.
+  /// Rewrites a batch of scattered cells, in order — the one write after
+  /// program(), used for the per-PDIP-iteration diagonal refresh. Only cells
+  /// whose programmed level changes are written (and counted); the write
+  /// cost is charged to the ledger once per batch, and the settle cache is
+  /// dropped only when some cell actually changed. A value above the
+  /// mapping full-scale transparently re-programs the whole array at that
+  /// cell (a full-scale change re-maps every cell). Returns the number of
+  /// cells whose programmed level changed.
   std::size_t update_cells(std::span<const CellUpdate> updates);
 
   /// Settle-cache behavior counters (full refactors vs reused factors).
@@ -227,11 +220,10 @@ class Crossbar {
   /// may have changed); a no-op write leaves the settle cache untouched.
   bool write_cell(std::size_t r, std::size_t c, double value, bool force);
 
-  /// Shared core of update_block/update_cells: applies the updates (bounds
-  /// already checked, full-scale already covers them), drops the settle
-  /// cache when a cell changed, and charges the aggregated write cost once.
-  /// Returns the number of cells whose programmed level changed.
-  std::size_t apply_updates(std::span<const CellUpdate> updates);
+  /// Writes a run of update_cells' batch that the full-scale covers (bounds
+  /// already checked), drops the settle cache when a cell changed, and
+  /// charges the aggregated write cost once.
+  void apply_updates(std::span<const CellUpdate> updates);
 
   /// Recomputes `effective_` entry from the varied conductance, including
   /// the position-dependent IR-drop degradation.

@@ -6,11 +6,14 @@
 // the array (and therefore its LU) untouched. This cache keeps the LU of
 // the last prepared matrix and re-factors only after invalidate(), which
 // the arrays call whenever a write changed a programmed level. Reusing the
-// LU of an unchanged matrix is bit-identical to re-factoring it. Every
+// LU of an unchanged matrix is bit-identical to re-factoring it. The owner
+// hands prepare() a builder, not a matrix, so only a re-factor assembles
+// (or copies) the array, and the factor takes it over. Every
 // factorization follows the cache's pivot plan (linalg/lu.hpp), which the
 // array's owner sets when it programs the array.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -72,10 +75,17 @@ class FactorizationCache {
 
   [[nodiscard]] const PivotPlan& plan() const noexcept { return plan_; }
 
-  /// Ensures a factorization of `a` is available: re-uses the cached one
-  /// when nothing was invalidated since the last prepare() and the shape is
-  /// the same, else factors `a` afresh. Returns false when `a` is singular.
-  bool prepare(const Matrix& a);
+  /// Ensures a factorization of the current `dim` × `dim` matrix is
+  /// available: re-uses the cached one when nothing was invalidated since
+  /// the last prepare() and the size is the same, else factors the matrix
+  /// `build()` returns, moved into the factor. A hit builds and copies
+  /// nothing. Returns false when the matrix is singular.
+  // memlint:hot — per-iteration settle (re)factorization entry.
+  template <class Build>
+  bool prepare(std::size_t dim, Build&& build) {
+    if (!reuse(dim)) factor(std::forward<Build>(build)());
+    return !lu_->singular();
+  }
 
   /// True when prepare() succeeded and no change was reported since.
   [[nodiscard]] bool ready() const noexcept {
@@ -96,6 +106,12 @@ class FactorizationCache {
   }
 
  private:
+  /// The hit test of prepare(): true, and counted, when the cached factor
+  /// is of a `dim` × `dim` matrix and nothing was invalidated since.
+  bool reuse(std::size_t dim) noexcept;
+  /// The miss path of prepare(): factors `a` with the plan.
+  void factor(Matrix a);
+
   FactorCacheStats stats_;
   PivotPlan plan_;
   std::optional<LuFactorization> lu_;  ///< LU of the last prepared matrix.

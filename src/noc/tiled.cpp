@@ -80,8 +80,7 @@ void TiledCrossbarMatrix::program(const Matrix& a, double full_scale_hint,
       },
       config_.threads);
   topology_ = make_topology(config_.topology, tiles_.size());
-  // Every tile re-drew its cells: drop the assembly and the factorization.
-  composite_ = Matrix();
+  // Every tile re-drew its cells: drop the factorization.
   settle_cache_.set_plan(std::move(plan));
 }
 
@@ -93,69 +92,6 @@ void TiledCrossbarMatrix::materialize_tile(std::size_t bi, std::size_t bj) {
   tiles_[t].program(Matrix(row_blocks_[bi].length, col_blocks_[bj].length),
                     full_scale_hint_);
   tile_zero_[t] = 0;
-}
-
-void TiledCrossbarMatrix::update_block(std::size_t r0, std::size_t c0,
-                                       const Matrix& block) {
-  MEMLP_EXPECT(programmed());
-  MEMLP_EXPECT(r0 + block.rows() <= rows_ && c0 + block.cols() <= cols_);
-  // Collect the affected tiles serially, then dispatch the sub-block writes
-  // in parallel: each task touches one tile (its own RNG stream) and charges
-  // a local NocStats, merged in task order below.
-  struct UpdateTask {
-    std::size_t bi, bj;
-    std::size_t r_lo, c_lo;
-    Matrix sub;
-  };
-  std::vector<UpdateTask> tasks;
-  for (std::size_t bi = 0; bi < row_blocks_.size(); ++bi) {
-    const auto& rb = row_blocks_[bi];
-    const std::size_t r_lo = std::max(r0, rb.begin);
-    const std::size_t r_hi = std::min(r0 + block.rows(), rb.begin + rb.length);
-    if (r_lo >= r_hi) continue;
-    for (std::size_t bj = 0; bj < col_blocks_.size(); ++bj) {
-      const auto& cb = col_blocks_[bj];
-      const std::size_t c_lo = std::max(c0, cb.begin);
-      const std::size_t c_hi =
-          std::min(c0 + block.cols(), cb.begin + cb.length);
-      if (c_lo >= c_hi) continue;
-      materialize_tile(bi, bj);  // serial: before the parallel dispatch
-      tasks.push_back({bi, bj, r_lo, c_lo,
-                       block.block(r_lo - r0, c_lo - c0, r_hi - r_lo,
-                                   c_hi - c_lo)});
-    }
-  }
-  std::vector<NocStats> local(tasks.size());
-  std::vector<unsigned char> changed(tasks.size(), 0);
-  par::parallel_for(
-      tasks.size(),
-      [&](std::size_t k) {
-        const UpdateTask& task = tasks[k];
-        const auto& rb = row_blocks_[task.bi];
-        const auto& cb = col_blocks_[task.bj];
-        xbar::Crossbar& t = tile(task.bi, task.bj);
-        const std::size_t cells_before = t.stats().cells_written;
-        t.update_block(task.r_lo - rb.begin, task.c_lo - cb.begin, task.sub);
-        // A full re-program (full-scale overflow) force-writes the cell that
-        // overflowed, so it counts as a change too.
-        changed[k] = t.stats().cells_written != cells_before;
-        // New coefficients travel from the controller to the tile's write
-        // circuits over the NoC.
-        charge(local[k], task.sub.rows() * task.sub.cols(),
-               topology_->hops_to_root(tile_index(task.bi, task.bj)));
-      },
-      config_.threads);
-  for (const NocStats& s : local) stats_ += s;
-  for (std::size_t k = 0; k < tasks.size(); ++k)
-    if (changed[k]) note_tile_changed(tasks[k].bi, tasks[k].bj);
-}
-
-void TiledCrossbarMatrix::note_tile_changed(std::size_t bi, std::size_t bj) {
-  settle_cache_.invalidate();
-  // Keep the cached assembly in sync (cheap: one tile block).
-  if (!composite_.empty())
-    composite_.set_block(row_blocks_[bi].begin, col_blocks_[bj].begin,
-                         tile(bi, bj).effective());
 }
 
 std::size_t TiledCrossbarMatrix::update_cells(
@@ -201,8 +137,9 @@ std::size_t TiledCrossbarMatrix::update_cells(
   for (std::size_t k = 0; k < batches.size(); ++k) {
     stats_ += local[k];
     total_changed += changed[k];
-    if (changed[k] != 0) note_tile_changed(batches[k].bi, batches[k].bj);
   }
+  // A changed tile changes the composite: the next settle re-assembles it.
+  if (total_changed != 0) settle_cache_.invalidate();
   return total_changed;
 }
 
@@ -277,8 +214,10 @@ std::optional<Vec> TiledCrossbarMatrix::solve(std::span<const double> b,
   MEMLP_EXPECT(programmed());
   MEMLP_EXPECT_MSG(rows_ == cols_, "tiled solve requires a square matrix");
   MEMLP_EXPECT(b.size() == rows_);
-  if (composite_.empty()) composite_ = assemble_effective();
-  if (!settle_cache_.prepare(composite_)) {
+  // Only a re-factor assembles the composite, and the factor takes it over:
+  // no dense copy of the tiles outlives the settle.
+  if (!settle_cache_.prepare(rows_,
+                             [this] { return assemble_effective(); })) {
     // A singular composite network never settles: no boundary voltages move
     // and nothing is charged — only the failure is recorded.
     ++stats_.failed_global_settles;

@@ -113,14 +113,11 @@ class TiledCrossbarMatrix {
   }
   [[nodiscard]] const Topology& topology() const { return *topology_; }
 
-  /// Rewrites the rectangular region with origin (r0, c0), dispatching
-  /// sub-blocks to the affected tiles.
-  void update_block(std::size_t r0, std::size_t c0, const Matrix& block);
-
   /// Rewrites a batch of scattered cells (global coordinates), grouping them
-  /// by tile and dispatching one batched write per affected tile — the
-  /// per-PDIP-iteration diagonal refresh path. Returns the number of cells
-  /// whose programmed level actually changed.
+  /// by tile and dispatching one batched write per affected tile — the one
+  /// write after program(), used for the per-PDIP-iteration diagonal
+  /// refresh. Returns the number of cells whose programmed level actually
+  /// changed (a tile's full-scale re-map counts its re-written cells).
   std::size_t update_cells(std::span<const xbar::CellUpdate> updates);
 
   /// Distributed analog MVM: ≈ A·x. The IoBoundary selects which DAC/ADC
@@ -184,10 +181,6 @@ class TiledCrossbarMatrix {
   /// Charges a transfer of `values` elements across `hops` hops.
   void charge_transfer(std::size_t values, std::size_t hops) noexcept;
 
-  /// Records that a write changed tile (bi, bj): drops the composite
-  /// factorization and patches the cached assembly.
-  void note_tile_changed(std::size_t bi, std::size_t bj);
-
   [[nodiscard]] bool tile_is_zero(std::size_t bi, std::size_t bj) const {
     return tile_zero_[tile_index(bi, bj)] != 0;
   }
@@ -213,12 +206,9 @@ class TiledCrossbarMatrix {
   std::unique_ptr<Topology> topology_;
   xbar::AmplifierBank amps_;
   NocStats stats_;
-  /// Cached assembly of the tiles' effective blocks, patched per changed tile
-  /// after writes; empty until the first composite solve (or after a full
-  /// program). Lets repeated settles skip the O(N²) reassembly.
-  Matrix composite_;
   /// Caches the composite factorization across settles; dropped only when
-  /// a write changed some tile.
+  /// a write changed some tile. A re-factor assembles the composite afresh
+  /// (assemble_effective) and the factor takes it over.
   FactorizationCache settle_cache_;
 };
 

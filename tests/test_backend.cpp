@@ -2,6 +2,7 @@
 // and the per-cell gain-ranging write mode.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "common/rng.hpp"
@@ -91,8 +92,8 @@ TEST(Backend, SettlesFollowThePivotPlan) {
   // its settles keep the plan.
   const auto single = make_backend(ideal_options(), dim, Rng(42));
   single->program(negfree.matrix(), 0.0, newton_pivot_plan(layout, negfree));
-  single->update_cell(layout.row_xz(), layout.col_x(),
-                      4.0 * negfree.matrix().max_abs());
+  single->update_cells(std::array{xbar::CellUpdate{
+      layout.row_xz(), layout.col_x(), 4.0 * negfree.matrix().max_abs()}});
   ASSERT_TRUE(single->solve(b).has_value());
   EXPECT_LT(single->settle_factor()->front_dim(), dim / 2);
 }
@@ -136,7 +137,7 @@ TEST(Backend, UpdateCellFlowsThroughBothKinds) {
     options.tile_dim = 4;
     const auto backend = make_backend(options, dim, Rng(7));
     backend->program(a, 2.0 * a.max_abs());
-    backend->update_cell(3, 3, a(3, 3) + 1.0);
+    backend->update_cells(std::array{xbar::CellUpdate{3, 3, a(3, 3) + 1.0}});
     Vec e(dim, 0.0);
     e[3] = 1.0;
     const Vec column = backend->multiply(e);
@@ -185,7 +186,8 @@ TEST(GainRanging, NoFullScaleReprogramOnLargeUpdates) {
   xbar::Crossbar crossbar(config, Rng(11));
   crossbar.program(Matrix(4, 4, 1.0));
   const auto programs_before = crossbar.stats().full_programs;
-  crossbar.update_cell(0, 0, 1e6);  // far beyond the initial full scale
+  // Far beyond the initial full scale.
+  crossbar.update_cells(std::array{xbar::CellUpdate{0, 0, 1e6}});
   EXPECT_EQ(crossbar.stats().full_programs, programs_before);
   EXPECT_NEAR(crossbar.effective()(0, 0), 1e6, 1e6 / 128);
 }
@@ -199,7 +201,7 @@ TEST(GainRanging, UnchangedValueIsNotRewritten) {
   crossbar.program(Matrix(3, 3, 0.5));
   const auto cells_before = crossbar.stats().cells_written;
   const double effective_before = crossbar.effective()(1, 1);
-  crossbar.update_cell(1, 1, 0.5);
+  crossbar.update_cells(std::array{xbar::CellUpdate{1, 1, 0.5}});
   EXPECT_EQ(crossbar.stats().cells_written, cells_before);
   EXPECT_EQ(crossbar.effective()(1, 1), effective_before);  // keeps its draw
 }

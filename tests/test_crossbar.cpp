@@ -2,6 +2,7 @@
 // solve, partial updates, variation behaviour, and operation accounting.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -27,6 +28,16 @@ Matrix random_nonneg(std::size_t r, std::size_t c, Rng& rng) {
   for (std::size_t i = 0; i < r; ++i)
     for (std::size_t j = 0; j < c; ++j) m(i, j) = rng.uniform(0.0, 2.0);
   return m;
+}
+
+/// The cells of `block` placed at (r0, c0), row by row, as one write batch.
+std::vector<CellUpdate> block_cells(std::size_t r0, std::size_t c0,
+                                    const Matrix& block) {
+  std::vector<CellUpdate> cells;
+  for (std::size_t i = 0; i < block.rows(); ++i)
+    for (std::size_t j = 0; j < block.cols(); ++j)
+      cells.push_back({r0 + i, c0 + j, block(i, j)});
+  return cells;
 }
 
 TEST(Crossbar, RejectsNegativeMatrix) {
@@ -138,13 +149,11 @@ TEST(Crossbar, UpdateBlockRewritesOnlyChangedCells) {
   xbar.reset_stats();
 
   // Re-writing the same values: no level changes, no cells written.
-  xbar.update_block(0, 0, a.block(0, 0, 4, 4));
+  xbar.update_cells(block_cells(0, 0, a.block(0, 0, 4, 4)));
   EXPECT_EQ(xbar.stats().cells_written, 0u);
 
   // Changing one cell by a large amount writes exactly one cell.
-  Matrix cell(1, 1);
-  cell(0, 0) = a(2, 3) < 1.0 ? 1.9 : 0.05;
-  xbar.update_block(2, 3, cell);
+  xbar.update_cells(std::array{CellUpdate{2, 3, a(2, 3) < 1.0 ? 1.9 : 0.05}});
   EXPECT_EQ(xbar.stats().cells_written, 1u);
   EXPECT_GT(xbar.stats().write_pulses, 0u);
 }
@@ -155,11 +164,10 @@ TEST(Crossbar, ExceedingFullScaleForcesReprogram) {
   Crossbar xbar(ideal_config(), Rng(19));
   xbar.program(a);
   const auto programs_before = xbar.stats().full_programs;
-  Matrix cell(1, 1);
-  cell(0, 0) = a.max_abs() * 10.0;
-  xbar.update_block(1, 1, cell);
+  const double overflow = a.max_abs() * 10.0;
+  xbar.update_cells(std::array{CellUpdate{1, 1, overflow}});
   EXPECT_EQ(xbar.stats().full_programs, programs_before + 1);
-  EXPECT_NEAR(xbar.effective()(1, 1), cell(0, 0), 1e-4 * cell(0, 0));
+  EXPECT_NEAR(xbar.effective()(1, 1), overflow, 1e-4 * overflow);
 }
 
 TEST(Crossbar, FullScaleHintAvoidsReprogram) {
@@ -168,9 +176,7 @@ TEST(Crossbar, FullScaleHintAvoidsReprogram) {
   Crossbar xbar(ideal_config(), Rng(21));
   xbar.program(a, 10.0 * a.max_abs());
   const auto programs_before = xbar.stats().full_programs;
-  Matrix cell(1, 1);
-  cell(0, 0) = a.max_abs() * 5.0;
-  xbar.update_block(1, 1, cell);
+  xbar.update_cells(std::array{CellUpdate{1, 1, a.max_abs() * 5.0}});
   EXPECT_EQ(xbar.stats().full_programs, programs_before);
 }
 
@@ -330,7 +336,7 @@ TEST(CrossbarConfig, ValidatesParameters) {
   EXPECT_THROW(config.validate(), ConfigError);
 }
 
-// Pins the half-select disturb contract of update_block's two paths (§3.3):
+// Pins the half-select disturb contract of update_cells' two paths (§3.3):
 // incremental in-range writes stress the written cell's row/column
 // neighbours, while the full-scale re-map path (fallback to program()) is
 // exempt — the erase-all re-program force-writes every occupied cell, so any
@@ -358,7 +364,7 @@ TEST(Crossbar, UpdateBlockDisturbOnlyOnTheIncrementalPath) {
   // neighbours measurably off their ideal values.
   Matrix ideal_after = a;
   ideal_after(2, 3) = 0.5;
-  xbar.update_cell(2, 3, 0.5);
+  xbar.update_cells(std::array{CellUpdate{2, 3, 0.5}});
   EXPECT_GT(max_deviation_from(ideal_after), 1e-4);
   // A cell sharing neither the row nor the column keeps its exact level.
   EXPECT_NEAR(xbar.effective()(0, 0), a(0, 0), 1e-4);
@@ -368,7 +374,7 @@ TEST(Crossbar, UpdateBlockDisturbOnlyOnTheIncrementalPath) {
   // cell is back at its quantized ideal.
   const double overflow = 10.0 * a.max_abs();
   ideal_after(2, 3) = overflow;
-  xbar.update_cell(2, 3, overflow);
+  xbar.update_cells(std::array{CellUpdate{2, 3, overflow}});
   EXPECT_GT(xbar.stats().full_programs, 1u);
   EXPECT_LT(max_deviation_from(ideal_after), 1e-3);
   EXPECT_NEAR(xbar.effective()(2, 2), a(2, 2), 1e-4 * (1.0 + a(2, 2)));
@@ -390,7 +396,7 @@ TEST(CrossbarSettleCache, NoOpRewriteKeepsTheFactorization) {
 
   // A tiny perturbation rounds to the same 8-bit level: no write happens.
   const std::size_t written_before = xbar.stats().cells_written;
-  xbar.update_cell(2, 2, a(2, 2) * (1.0 + 1e-9));
+  xbar.update_cells(std::array{CellUpdate{2, 2, a(2, 2) * (1.0 + 1e-9)}});
   ASSERT_EQ(xbar.stats().cells_written, written_before);
   ASSERT_TRUE(xbar.solve(b).has_value());
   EXPECT_EQ(xbar.settle_cache_stats().full_factorizations, 1u);
@@ -406,7 +412,8 @@ TEST(CrossbarSettleCache, RealWriteInvalidatesTheFactorization) {
   ASSERT_TRUE(xbar.solve(b).has_value());
   EXPECT_EQ(xbar.settle_cache_stats().full_factorizations, 1u);
 
-  xbar.update_cell(1, 4, a(1, 4) + 0.5);  // genuinely new level
+  // A genuinely new level.
+  xbar.update_cells(std::array{CellUpdate{1, 4, a(1, 4) + 0.5}});
   const auto x = xbar.solve(b);
   ASSERT_TRUE(x.has_value());
   EXPECT_EQ(xbar.settle_cache_stats().full_factorizations, 2u);
@@ -417,8 +424,8 @@ TEST(CrossbarSettleCache, RealWriteInvalidatesTheFactorization) {
 }
 
 TEST(CrossbarSettleCache, BatchedUpdateMatchesSequentialUpdates) {
-  // update_cells must be write-for-write identical to an update_cell loop
-  // (same RNG draw order, same quantization, same remap points).
+  // One batch must be write-for-write identical to a loop of one-cell
+  // batches (same RNG draw order, same quantization, same remap points).
   Rng data_rng(28);
   const std::size_t n = 8;
   const Matrix a = random_nonneg(n, n, data_rng);
@@ -437,8 +444,7 @@ TEST(CrossbarSettleCache, BatchedUpdateMatchesSequentialUpdates) {
   updates[5].value = 10.0 * a.max_abs();
 
   batched.update_cells(updates);
-  for (const CellUpdate& u : updates)
-    sequential.update_cell(u.row, u.col, u.value);
+  for (const CellUpdate& u : updates) sequential.update_cells({&u, 1});
 
   ASSERT_EQ(batched.effective(), sequential.effective());
   EXPECT_EQ(batched.stats().cells_written, sequential.stats().cells_written);

@@ -172,11 +172,15 @@ TEST(TiledPar, ProgramAndMultiplyBitIdenticalAcrossThreadCounts) {
   const Vec y4 = parallel.multiply(x);
   for (std::size_t i = 0; i < y1.size(); ++i) EXPECT_EQ(y1[i], y4[i]);
 
-  // update_block spanning several tiles, then another readout.
+  // A 6×7 patch of cell writes spanning several tiles, then another readout.
   Rng update_rng(12);
   const Matrix patch = random_nonneg(6, 7, update_rng);
-  serial.update_block(3, 1, patch);
-  parallel.update_block(3, 1, patch);
+  std::vector<xbar::CellUpdate> cells;
+  for (std::size_t i = 0; i < patch.rows(); ++i)
+    for (std::size_t j = 0; j < patch.cols(); ++j)
+      cells.push_back({3 + i, 1 + j, patch(i, j)});
+  serial.update_cells(cells);
+  parallel.update_cells(cells);
   const Vec u1 = serial.multiply(x);
   const Vec u4 = parallel.multiply(x);
   for (std::size_t i = 0; i < u1.size(); ++i) EXPECT_EQ(u1[i], u4[i]);

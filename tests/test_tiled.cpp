@@ -31,6 +31,16 @@ Matrix random_nonneg(std::size_t r, std::size_t c, Rng& rng) {
   return m;
 }
 
+/// The cells of `block` placed at (r0, c0), row by row, as one write batch.
+std::vector<xbar::CellUpdate> block_cells(std::size_t r0, std::size_t c0,
+                                          const Matrix& block) {
+  std::vector<xbar::CellUpdate> cells;
+  for (std::size_t i = 0; i < block.rows(); ++i)
+    for (std::size_t j = 0; j < block.cols(); ++j)
+      cells.push_back({r0 + i, c0 + j, block(i, j)});
+  return cells;
+}
+
 TEST(Tiled, PartitionsIntoExpectedTileCount) {
   TiledCrossbarMatrix tiled(ideal_tiled(4), Rng(1));
   tiled.program(Matrix(10, 7, 1.0));
@@ -85,9 +95,8 @@ TEST(Tiled, UpdateBlockDispatchesAcrossTileBoundaries) {
   const Matrix a = random_nonneg(8, 8, rng);
   TiledCrossbarMatrix tiled(ideal_tiled(4), Rng(11));
   tiled.program(a);
-  // A block straddling all four tiles.
-  Matrix block(4, 4, 1.7);
-  tiled.update_block(2, 2, block);
+  // A block-shaped batch straddling all four tiles.
+  tiled.update_cells(block_cells(2, 2, Matrix(4, 4, 1.7)));
   const Matrix effective = tiled.assemble_effective();
   for (std::size_t i = 2; i < 6; ++i)
     for (std::size_t j = 2; j < 6; ++j)
@@ -203,27 +212,23 @@ TEST(Tiled, CrossbarStatsAggregateOverTiles) {
   EXPECT_EQ(stats.cells_written, 64u);
 }
 
-TEST(Tiled, UpdateCellsMatchesUpdateBlockWrites) {
-  // The batched scattered-cell path must produce the same effective matrix
-  // as per-cell update_block dispatches (same per-tile write order).
+TEST(Tiled, UpdateCellsMatchesPerCellBatches) {
+  // One batch across tiles must produce the same effective matrix as one
+  // one-cell batch per cell (same per-tile write order).
   Rng rng(30);
   const std::size_t n = 10;
   const Matrix a = random_nonneg(n, n, rng);
   TiledCrossbarMatrix batched(ideal_tiled(4), Rng(31));
-  TiledCrossbarMatrix blocks(ideal_tiled(4), Rng(31));
+  TiledCrossbarMatrix per_cell(ideal_tiled(4), Rng(31));
   batched.program(a, 4.0);
-  blocks.program(a, 4.0);
+  per_cell.program(a, 4.0);
 
   std::vector<xbar::CellUpdate> updates;
   for (std::size_t j = 0; j < n; ++j)
     updates.push_back({j, j, rng.uniform(0.1, 2.0)});
   batched.update_cells(updates);
-  Matrix single(1, 1);
-  for (const xbar::CellUpdate& u : updates) {
-    single(0, 0) = u.value;
-    blocks.update_block(u.row, u.col, single);
-  }
-  EXPECT_EQ(batched.assemble_effective(), blocks.assemble_effective());
+  for (const xbar::CellUpdate& u : updates) per_cell.update_cells({&u, 1});
+  EXPECT_EQ(batched.assemble_effective(), per_cell.assemble_effective());
 }
 
 TEST(Tiled, SettleCacheSurvivesNoOpWritesAndFollowsRealOnes) {
@@ -283,16 +288,22 @@ void expect_fresh_settle(TiledCrossbarMatrix& tiled, const Vec& b) {
     EXPECT_NEAR((*x)[i], expected[i], 1e-12) << "row " << i;
 }
 
-TEST(Tiled, SettleAfterUpdateBlockRemapIsAFreshLu) {
-  // 60 exceeds tile (0, 0)'s full-scale: the tile re-maps every cell, not
-  // just the written one, and with 16 levels that moves its other rows.
+TEST(Tiled, SettleAfterMidBatchRemapIsAFreshLu) {
+  // A 2×2 batch inside tile (0, 0) whose second cell, 60, exceeds the
+  // tile's full-scale: the first cell is written, then the tile re-maps
+  // every cell, not just the written ones, and with 16 levels that moves
+  // its other rows; the last two cells land on the re-mapped array.
   TiledConfig config = ideal_tiled(4);
   config.xbar.conductance_levels = 16;
   TiledCrossbarMatrix tiled(config, Rng(38));
   const Vec b = program_and_settle(tiled);
   const std::size_t programs_before = tiled.crossbar_stats().full_programs;
-  tiled.update_block(1, 1, Matrix(1, 1, 60.0));
+  tiled.update_cells(block_cells(1, 1, Matrix{{3.0, 60.0}, {2.0, 5.0}}));
   EXPECT_EQ(tiled.crossbar_stats().full_programs, programs_before + 1);
+  // The re-map doubles the full-scale to 120: one level is 120 / 15.
+  const Matrix effective = tiled.assemble_effective();
+  EXPECT_NEAR(effective(1, 2), 60.0, 120.0 / 15);
+  EXPECT_NEAR(effective(2, 2), 5.0, 120.0 / 15);
   expect_fresh_settle(tiled, b);
 }
 

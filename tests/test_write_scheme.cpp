@@ -2,6 +2,7 @@
 // disturb, and per-read noise.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -52,7 +53,7 @@ TEST(Crossbar, DisturbDriftsSharedRowAndColumn) {
   xbar.program(Matrix(8, 8, 1.0), 4.0);
   const Matrix before = xbar.effective();
   // A large-change write to (3, 4) half-selects row 3 and column 4.
-  xbar.update_cell(3, 4, 2.0);
+  xbar.update_cells(std::array{CellUpdate{3, 4, 2.0}});
   const Matrix& after = xbar.effective();
   double drift_shared = 0.0;
   for (std::size_t j = 0; j < 8; ++j)
@@ -70,7 +71,7 @@ TEST(Crossbar, DisturbAccumulatesOverManyWrites) {
   xbar.program(Matrix(8, 8, 1.0), 4.0);
   // Hammer one cell; its row/column neighbours random-walk away from 1.0.
   for (int k = 0; k < 500; ++k)
-    xbar.update_cell(0, 0, k % 2 == 0 ? 2.0 : 1.0);
+    xbar.update_cells(std::array{CellUpdate{0, 0, k % 2 == 0 ? 2.0 : 1.0}});
   double drift = 0.0;
   for (std::size_t j = 1; j < 8; ++j)
     drift = std::max(drift, std::abs(xbar.effective()(0, j) - 1.0));
@@ -83,7 +84,7 @@ TEST(Crossbar, ZeroDisturbIsIdeal) {
   Crossbar xbar(config, Rng(3));
   xbar.program(Matrix(6, 6, 1.0), 4.0);
   const Matrix before = xbar.effective();
-  xbar.update_cell(2, 2, 3.0);
+  xbar.update_cells(std::array{CellUpdate{2, 2, 3.0}});
   for (std::size_t i = 0; i < 6; ++i)
     for (std::size_t j = 0; j < 6; ++j)
       if (i != 2 || j != 2) {
