@@ -16,8 +16,6 @@ const char* anomaly_name(Anomaly anomaly) noexcept {
       return "wild_jump";
     case Anomaly::kMuOscillation:
       return "mu_oscillation";
-    case Anomaly::kSettleCacheThrash:
-      return "settle_cache_thrash";
     case Anomaly::kRetryStorm:
       return "retry_storm";
   }

@@ -3,7 +3,7 @@
 // The engine's exit conditions already detect pathologies (stall, hard
 // divergence, wild jumps); this module turns those detections — plus
 // cross-solve patterns the engine cannot see from inside one run (retry
-// storms, settle-cache thrash) — into a typed anomaly stream with three
+// storms) — into a typed anomaly stream with three
 // fan-outs per report: a metrics counter (`health.<solver>.<anomaly>`), a
 // flight-recorder record (post-mortem context), and an optional `anomaly`
 // trace event on the solve's sink. Per-solver rollups feed `memlp_top`'s
@@ -25,7 +25,6 @@ enum class Anomaly : std::uint8_t {
   kDivergence = 1,        ///< residuals or iterates growing without bound.
   kWildJump = 2,          ///< >100× one-step jump in |x| and |y|.
   kMuOscillation = 3,     ///< µ flip-flopping instead of decreasing.
-  kSettleCacheThrash = 4, ///< factor cache refreshing instead of reusing.
   kRetryStorm = 5,        ///< analog solve needing ≥3 attempts.
 };
 
