@@ -51,12 +51,6 @@ enum class M1Mode {
   kLiteralBalanced,
 };
 
-/// Which balancing blocks the literal mode fills (§3.4).
-enum class BalancingFill {
-  kAuto,  ///< the paper's rule: RU when m >= n, RL when n >= m.
-  kBoth,  ///< fill both blocks.
-};
-
 /// How the slack directions ∆z, ∆w are recovered after system 1.
 enum class RecoveryMode {
   /// Division-free, via the primal/dual equations (9a)/(9b) and two extra
@@ -82,7 +76,6 @@ struct LsPdipOptions {
   /// Cap on the w_i/y_i and z_j/x_j corner-diagonal ratios.
   double ratio_cap = 1e3;
   /// Magnitude of RU/RL in kLiteralBalanced mode, relative to mean |A|.
-  /// That mode fills the paper's blocks (BalancingFill::kAuto).
   double balancing_scale = 0.02;
   /// α of the final constraint check.
   double alpha = 1.05;
@@ -100,10 +93,10 @@ XbarSolveOutcome solve_ls_pdip(const lp::LinearProgram& problem,
                                const LsPdipOptions& options = {});
 
 /// Builds the literal-mode M1 base matrix [[A, RU],[RL, Aᵀ]] with small
-/// random balancing values (exposed for tests and the balancing ablation).
+/// random balancing values, by the paper's rule (§3.4): RU is filled when
+/// m >= n and RL when n >= m (exposed for tests and the balancing ablation).
 Matrix build_balanced_m1(const lp::LinearProgram& problem,
-                         double balancing_scale, BalancingFill fill,
-                         Rng& rng);
+                         double balancing_scale, Rng& rng);
 
 /// Builds the Schur-diagonal M1 base matrix for the given state (exposed for
 /// tests). The off-diagonal corner entries stay zero.
