@@ -32,8 +32,7 @@ std::vector<SolveReport> solve_batch(std::span<const BatchItem> items,
         obs::SolveContext context;
         context.trace_id = base_trace_id + i;
         context.solve_id = i;
-        context.tenant = items[i].request.tenant;
-        const obs::ScopedSolveContext scope(std::move(context));
+        const obs::ScopedSolveContext scope(context);
         const Stopwatch exec_clock;
         reports[i] = registry.solve(*items[i].problem, items[i].request);
         auto& metrics = obs::MetricsRegistry::global();

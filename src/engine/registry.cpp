@@ -87,8 +87,7 @@ SolveReport SolverRegistry::solve(const lp::LinearProgram& problem,
       active == nullptr || !active->valid()) {
     obs::SolveContext context;
     context.trace_id = obs::mint_trace_ids();
-    context.tenant = request.tenant;
-    scope.emplace(std::move(context));
+    scope.emplace(context);
   }
   auto& metrics = obs::MetricsRegistry::global();
   metrics.counter(request.solver + ".requests").add();

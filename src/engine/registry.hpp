@@ -42,9 +42,6 @@ namespace memlp::engine {
 /// for every solver (see obs/trace.hpp).
 struct SolveRequest {
   std::string solver = "xbar";
-  /// Attribution tag stamped into the solve's SolveContext (multi-tenant
-  /// batches, serving-style callers); empty = unattributed.
-  std::string tenant;
   /// Algorithmic parameters shared by the three PDIP solvers; also carries
   /// the trace sink for all four.
   core::PdipOptions pdip{};

@@ -79,8 +79,6 @@ void ChromeTraceSink::emit(const Event& event) {
                   static_cast<std::int64_t>(context->trace_id));
       args += ",\"solve_id\":" + json_number(
                   static_cast<std::int64_t>(context->solve_id));
-      if (!context->tenant.empty())
-        args += ",\"tenant\":" + json_string(context->tenant);
     }
     for (const Field& field : event.fields()) {
       if (!args.empty()) args += ",";

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <utility>
 
 #include "common/par.hpp"
 #include "obs/trace.hpp"
@@ -57,11 +56,10 @@ void annotate_context(Event& event) {
   if (context == nullptr || !context->valid()) return;
   event.with("trace_id", context->trace_id);
   event.with("solve_id", context->solve_id);
-  if (!context->tenant.empty()) event.with("tenant", context->tenant);
 }
 
 ScopedSolveContext::ScopedSolveContext(SolveContext context)
-    : context_(std::move(context)), previous_(t_context) {
+    : context_(context), previous_(t_context) {
   ensure_region_hook_installed();
   t_context = &context_;
 }

@@ -4,7 +4,7 @@
 // future memlp_serve daemon) interleaves many solves onto one trace stream
 // and one metrics registry. `SolveContext` is the identity that makes the
 // interleaving attributable: every solve carries {trace_id, solve_id,
-// tenant, attempt}, and every sink stamps the active context onto the
+// attempt}, and every sink stamps the active context onto the
 // events it writes — so a mixed batch trace can be filtered by `trace_id`
 // back to exactly one solve's phase/iteration/cost history.
 //
@@ -31,8 +31,8 @@
 // golden engine traces (core-wrapper solves, no registry) bit-exact.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace memlp::obs {
 
@@ -41,13 +41,11 @@ class Event;
 /// Identity of one solve inside a run. `trace_id` is unique per solve
 /// process-wide (minted from an atomic counter, starting at 1; 0 means "no
 /// context"); `solve_id` is the stable position of the solve inside its
-/// batch (0 for single solves); `tenant` is the request's attribution tag
-/// (empty = unattributed); `attempt` is the 1-based analog retry index
+/// batch (0 for single solves); `attempt` is the 1-based analog retry index
 /// (0 = whole-solve scope).
 struct SolveContext {
   std::uint64_t trace_id = 0;
   std::uint64_t solve_id = 0;
-  std::string tenant;
   std::uint32_t attempt = 0;
 
   [[nodiscard]] bool valid() const noexcept { return trace_id != 0; }
@@ -63,8 +61,8 @@ struct SolveContext {
 /// process-unique and never 0.
 std::uint64_t mint_trace_ids(std::size_t count = 1);
 
-/// Appends `trace_id`/`solve_id` (and `tenant` when non-empty) to `event`
-/// iff a context is active on the calling thread. Sinks call this at emit
+/// Appends `trace_id`/`solve_id` to `event` iff a context is active on the
+/// calling thread. Sinks call this at emit
 /// time so instrumentation sites stay context-free.
 void annotate_context(Event& event);
 

@@ -87,8 +87,6 @@ void JsonlTraceSink::emit(const Event& event) {
       context != nullptr && context->valid()) {
     line += ",\"trace_id\":" + std::to_string(context->trace_id);
     line += ",\"solve_id\":" + std::to_string(context->solve_id);
-    if (!context->tenant.empty())
-      line += ",\"tenant\":" + json_string(context->tenant);
   }
   std::lock_guard<std::mutex> lock(mutex_);
   line += ",\"seq\":" + std::to_string(seq_++);
@@ -133,10 +131,6 @@ void CsvTraceSink::emit(const Event& event) {
         (prefix + "solve_id," + std::to_string(context->solve_id) + "\n")
             .c_str(),
         file_);
-    if (!context->tenant.empty())
-      std::fputs(
-          (prefix + "tenant," + csv_escape(context->tenant) + "\n").c_str(),
-          file_);
   }
   if (event.fields().empty()) {
     if (context == nullptr) std::fputs((prefix + ",\n").c_str(), file_);
