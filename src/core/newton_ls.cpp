@@ -54,7 +54,7 @@ void write_corner_diagonals(const lp::LinearProgram& problem,
 
 LsNewton::LsNewton(const lp::LinearProgram& problem,
                    const LsPdipOptions& options, NegativeFreeSystem& negfree1,
-                   AnalogBackend& backend1, AnalogBackend& backend2,
+                   AnalogBackend& backend1, AnalogBackend* backend2,
                    xbar::AmplifierBank& amps)
     : problem_(problem),
       options_(options),
@@ -79,12 +79,14 @@ void LsNewton::begin_attempt(const PdipState& state, std::size_t attempt_index,
   backend1_.program(negfree1_.matrix(),
                     options_.full_scale_headroom * negfree1_.matrix().max_abs());
   BackendStats programmed = backend1_.stats().since(before1);
-  // M2 = diag([x; y]) changes every iteration; program with headroom so the
-  // per-iteration writes stay cell-local.
-  const BackendStats before2 = backend2_.stats();
-  const Matrix m2 = Matrix::diagonal(concat({state.x, state.y}));
-  backend2_.program(m2, options_.full_scale_headroom * m2.max_abs());
-  programmed += backend2_.stats().since(before2);
+  if (backend2_ != nullptr) {
+    // M2 = diag([x; y]) changes every iteration; program with headroom so
+    // the per-iteration writes stay cell-local.
+    const BackendStats before2 = backend2_->stats();
+    const Matrix m2 = Matrix::diagonal(concat({state.x, state.y}));
+    backend2_->program(m2, options_.full_scale_headroom * m2.max_abs());
+    programmed += backend2_->stats().since(before2);
+  }
   programming += programmed;
   annotate_backend_stats(span, programmed);
 }
@@ -210,21 +212,21 @@ NewtonStep LsNewton::solve(const PdipState& state, double mu,
       diagonal.push_back(
           {n + i, n + i,
            std::max(schur_ ? y_hat_[i] : state.y[i], representable)});
-    backend2_.update_cells(diagonal);
+    backend2_->update_cells(diagonal);
 
     // r2 = [µe; µe] − M2·[z; w] (the XZe / YWe products come from the M2
     // array itself), minus the Z∘∆x / W∘∆y cross terms from the analog
     // multipliers.
     const Vec s2 = concat({state.z, state.w});
     const Vec ms2 =
-        backend2_.multiply(s2, AnalogBackend::IoBoundary::kInputOnly);
+        backend2_->multiply(s2, AnalogBackend::IoBoundary::kInputOnly);
     Vec r2 = amps_.sub(Vec(n + m, mu), ms2);
     const Vec zdx = amps_.multiply_elementwise(state.z, dx);
     const Vec wdy = amps_.multiply_elementwise(state.w, dy);
     const Vec cross = concat({zdx, wdy});
     r2 = amps_.sub(r2, cross);
     const auto ds2 =
-        backend2_.solve(r2, AnalogBackend::IoBoundary::kOutputOnly);
+        backend2_->solve(r2, AnalogBackend::IoBoundary::kOutputOnly);
     // The M2 system is diagonal: a failed settle means a broken array, never
     // a diverged iterate — report it without the divergence classifier.
     if (!ds2) return {std::nullopt, /*classify_on_failure=*/false};
@@ -242,14 +244,14 @@ NewtonStep LsNewton::solve(const PdipState& state, double mu,
 
 void LsNewton::snapshot_counters() {
   before_it1_ = backend1_.stats();
-  before_it2_ = backend2_.stats();
+  if (backend2_ != nullptr) before_it2_ = backend2_->stats();
   amps_before_ = amps_.stats();
 }
 
 void LsNewton::annotate_counters(obs::PhaseSpan& span) {
   // Both arrays plus the amplifier bank contribute to the counter delta.
   BackendStats delta = backend1_.stats().since(before_it1_);
-  delta += backend2_.stats().since(before_it2_);
+  if (backend2_ != nullptr) delta += backend2_->stats().since(before_it2_);
   delta.amps += amps_.stats().since(amps_before_);
   annotate_backend_stats(span, delta);
 }
@@ -261,7 +263,7 @@ void LsNewton::describe(XbarSolveStats& stats) const {
 
 void LsNewton::collect_stats(XbarSolveStats& stats) const {
   BackendStats merged = backend1_.stats();
-  merged += backend2_.stats();
+  if (backend2_ != nullptr) merged += backend2_->stats();
   stats.backend = merged;
   stats.amps = amps_.stats();
 }

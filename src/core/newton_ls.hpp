@@ -20,7 +20,8 @@ namespace memlp::core {
 
 /// NewtonSystem over the two least-squares arrays:
 ///   begin_attempt  — resets M1's corner diagonals (schur mode) and programs
-///                    both arrays (fresh variation draws);
+///                    M1, and M2 when the solve reads it (fresh variation
+///                    draws);
 ///   begin_iteration — caps the state denominators and re-writes M1's corner
 ///                    diagonals, O(N) cells;
 ///   measure        — r1 = fixed1 − M1·[x; y] (Eq. 17a) plus, in schur mode,
@@ -29,9 +30,11 @@ namespace memlp::core {
 ///                    the kStable MVMs or an M2 settle.
 class LsNewton final : public AnalogNewtonSystem {
  public:
+  /// `backend2` is the M2 array, or nullptr when the slack recovery never
+  /// reads it (schur mode with kStable recovery).
   LsNewton(const lp::LinearProgram& problem, const LsPdipOptions& options,
            NegativeFreeSystem& negfree1, AnalogBackend& backend1,
-           AnalogBackend& backend2, xbar::AmplifierBank& amps);
+           AnalogBackend* backend2, xbar::AmplifierBank& amps);
 
   void begin_attempt(const PdipState& state, std::size_t attempt_index,
                      bool reuse_array, BackendStats& programming,
@@ -53,7 +56,7 @@ class LsNewton final : public AnalogNewtonSystem {
   const LsPdipOptions& options_;
   NegativeFreeSystem& negfree1_;
   AnalogBackend& backend1_;
-  AnalogBackend& backend2_;
+  AnalogBackend* backend2_;  ///< nullptr when M2 is never read.
   xbar::AmplifierBank& amps_;
   bool schur_;
   Vec x_hat_;  ///< capped denominators of this iteration (see capped_x/y).
