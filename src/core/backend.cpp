@@ -139,9 +139,7 @@ std::unique_ptr<AnalogBackend> make_backend(const BackendOptions& options,
   MEMLP_EXPECT(dim > 0);
   const std::size_t crossbar_limit =
       options.crossbar.max_dim == 0 ? dim : options.crossbar.max_dim;
-  const bool needs_noc = options.force_noc || dim > crossbar_limit ||
-                         (options.crossbar.max_dim != 0 &&
-                          dim > options.crossbar.max_dim);
+  const bool needs_noc = options.force_noc || dim > crossbar_limit;
   if (needs_noc) {
     BackendOptions tiled_options = options;
     tiled_options.crossbar.max_dim = 0;  // tile enforces its own bound

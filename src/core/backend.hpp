@@ -102,8 +102,9 @@ class AnalogBackend {
 void annotate_backend_stats(obs::PhaseSpan& span, const BackendStats& delta);
 
 /// Chooses single-crossbar vs NoC-tiled execution for a `dim`-sized system:
-/// the NoC engages when force_noc is set or the system exceeds either the
-/// crossbar's max_dim or the tile_dim.
+/// the NoC engages when force_noc is set or the system exceeds the
+/// crossbar's max_dim (0 = no limit). tile_dim only sizes the tiles once
+/// the NoC is engaged.
 std::unique_ptr<AnalogBackend> make_backend(const BackendOptions& options,
                                             std::size_t dim, Rng rng);
 

@@ -382,6 +382,31 @@ PdipEngine::Outcome PdipEngine::run(NewtonSystem& newton, PdipState& state) {
   return attempt;
 }
 
+void SettleFrontLog::record() {
+  const std::uint64_t factorizations =
+      backend_.stats().settle_cache.full_factorizations;
+  if (factorizations == seen_factorizations_) return;
+  seen_factorizations_ = factorizations;
+  if (const LuFactorization* lu = backend_.settle_factor()) {
+    front_dims_.push_back(lu->front_dim());
+    deferred_pivots_ += lu->deferred_pivots();
+  }
+}
+
+SettleFrontStats SettleFrontLog::stats() const {
+  SettleFrontStats fronts;
+  fronts.factorizations = front_dims_.size();
+  fronts.deferred_pivots = deferred_pivots_;
+  if (front_dims_.empty()) return fronts;
+  std::vector<std::size_t> dims = front_dims_;
+  const auto middle = dims.begin() + static_cast<std::ptrdiff_t>(
+                                         (dims.size() - 1) / 2);
+  std::nth_element(dims.begin(), middle, dims.end());
+  fronts.front_dim_p50 = *middle;
+  fronts.front_dim_max = *std::max_element(dims.begin(), dims.end());
+  return fronts;
+}
+
 XbarSolveOutcome solve_analog_pdip(const lp::LinearProgram& problem,
                                    const ProblemScaling& scaling,
                                    const PdipOptions& options,

@@ -17,10 +17,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "core/kkt.hpp"
 #include "core/pdip.hpp"
@@ -205,6 +207,26 @@ class AnalogNewtonSystem : public NewtonSystem {
 
   /// Fills the end-of-solve backend/amplifier totals.
   virtual void collect_stats(XbarSolveStats& stats) const = 0;
+};
+
+/// The dense fronts of a backend's settle factorizations over a solve
+/// (SettleFrontStats): call record() after every settle; it logs the front
+/// of each factorization made since the last call.
+class SettleFrontLog {
+ public:
+  explicit SettleFrontLog(const AnalogBackend& backend)
+      : backend_(backend),
+        seen_factorizations_(
+            backend.stats().settle_cache.full_factorizations) {}
+
+  void record();
+  [[nodiscard]] SettleFrontStats stats() const;
+
+ private:
+  const AnalogBackend& backend_;
+  std::vector<std::size_t> front_dims_;
+  std::size_t deferred_pivots_ = 0;
+  std::uint64_t seen_factorizations_ = 0;
 };
 
 /// Shared shape of the analog retry/acceptance driver (the paper's

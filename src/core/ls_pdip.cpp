@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "core/engine.hpp"
@@ -78,6 +79,35 @@ Matrix build_schur_m1(const lp::LinearProgram& problem,
   for (std::size_t j = 0; j < n; ++j)
     m1(m + j, j) = std::min(state.z[j] / state.x[j], ratio_cap);
   return m1;
+}
+
+PivotPlan ls_pivot_plan(std::size_t n, std::size_t m,
+                        const NegativeFreeSystem& negfree) {
+  const std::size_t base = n + m;
+  MEMLP_EXPECT(negfree.base_dim() == base);
+  // Every y column holds the negative −w_i/ŷ_i and so has a compensation
+  // column; an x column has one where A has a negative entry.
+  constexpr std::size_t kNone = PlannedPivot::kNoColumn;
+  std::vector<std::size_t> y_comp(m, kNone);
+  PivotPlan plan;
+  plan.reserve(negfree.dim());
+  for (std::size_t l = 0; l < negfree.num_compensations(); ++l) {
+    const std::size_t j = negfree.compensated_column(l);
+    if (j < n)
+      plan.push_back({.row = base + l, .column = base + l});
+    else
+      y_comp[j - n] = l;
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    MEMLP_EXPECT_MSG(y_comp[i] != kNone,
+                     "ls_pivot_plan: column y_" << i << " has no compensation");
+    plan.push_back({.row = i, .column = base + y_comp[i]});
+  }
+  for (std::size_t i = 0; i < m; ++i)
+    plan.push_back({.row = base + y_comp[i], .column = n + i});
+  for (std::size_t j = 0; j < n; ++j)
+    plan.push_back({.row = m + j, .column = j});
+  return plan;
 }
 
 XbarSolveOutcome solve_ls_pdip(const lp::LinearProgram& original,

@@ -103,4 +103,21 @@ Matrix build_balanced_m1(const lp::LinearProgram& problem,
 Matrix build_schur_m1(const lp::LinearProgram& problem,
                       const PdipState& state, double ratio_cap);
 
+class NegativeFreeSystem;
+
+/// The pivot plan of the negative-free Schur-diagonal M1 array `negfree`
+/// (built from build_schur_m1 of an LP with n variables and m
+/// constraints), in elimination order:
+///   1. each compensation row x_j + p_ℓ = 0 of an x column on its p_ℓ;
+///   2. each primal row i on the compensation column of y_i, which holds
+///      w_i/ŷ_i;
+///   3. each compensation row y_i + p_ℓ = 0 on y_i;
+///   4. each dual row m+j on x_j, which holds z_j/x̂_j.
+/// Steps 2–4 eliminate the −Y⁻¹W corner and leave the n×n
+/// X⁻¹Z + Aᵀ(Y⁻¹W)⁻¹A block on the dual rows. Taking every compensation
+/// row first, as newton_pivot_plan does, leaves fronts up to four times
+/// larger (max 902 against 223 of 2720 on an m = 1024 block-diagonal LP).
+PivotPlan ls_pivot_plan(std::size_t n, std::size_t m,
+                        const NegativeFreeSystem& negfree);
+
 }  // namespace memlp::core

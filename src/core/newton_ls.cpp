@@ -62,13 +62,16 @@ LsNewton::LsNewton(const lp::LinearProgram& problem,
       backend1_(backend1),
       backend2_(backend2),
       amps_(amps),
-      schur_(options.m1_mode == M1Mode::kSchurDiagonal) {}
+      schur_(options.m1_mode == M1Mode::kSchurDiagonal),
+      fronts_(backend1) {}
 
 void LsNewton::begin_attempt(const PdipState& state, std::size_t attempt_index,
                              bool /*reuse_array*/, BackendStats& programming,
                              obs::TraceSink* sink) {
   // Reset the corner diagonals to the fresh-state values, then program the
-  // whole M1 array once for this attempt (fresh variation draws).
+  // whole M1 array once for this attempt (fresh variation draws). Schur
+  // mode factors its settles with the ls pivot plan; the literal mode's
+  // dense RU/RL blocks leave nothing to plan.
   if (schur_)
     write_corner_diagonals(problem_, state, capped_x(state, options_.ratio_cap),
                            capped_y(state, options_.ratio_cap), negfree1_,
@@ -76,8 +79,12 @@ void LsNewton::begin_attempt(const PdipState& state, std::size_t attempt_index,
   obs::PhaseSpan span(sink, "ls", "programming");
   span.note("attempt", attempt_index);
   const BackendStats before1 = backend1_.stats();
-  backend1_.program(negfree1_.matrix(),
-                    options_.full_scale_headroom * negfree1_.matrix().max_abs());
+  backend1_.program(
+      negfree1_.matrix(),
+      options_.full_scale_headroom * negfree1_.matrix().max_abs(),
+      schur_ ? ls_pivot_plan(problem_.num_variables(),
+                             problem_.num_constraints(), negfree1_)
+             : PivotPlan{});
   BackendStats programmed = backend1_.stats().since(before1);
   if (backend2_ != nullptr) {
     // M2 = diag([x; y]) changes every iteration; program with headroom so
@@ -170,6 +177,7 @@ NewtonStep LsNewton::solve(const PdipState& state, double mu,
   // --- Solve system 1 for [∆x; ∆y].
   const auto ds1_aug =
       backend1_.solve(r1_, AnalogBackend::IoBoundary::kOutputOnly);
+  fronts_.record();
   if (!ds1_aug) return {std::nullopt, true};
   const Vec ds1 = negfree1_.restrict(*ds1_aug);
   const std::span<const double> dx(ds1.data(), n);
@@ -266,6 +274,7 @@ void LsNewton::collect_stats(XbarSolveStats& stats) const {
   if (backend2_ != nullptr) merged += backend2_->stats();
   stats.backend = merged;
   stats.amps = amps_.stats();
+  stats.settle_fronts = fronts_.stats();
 }
 
 }  // namespace memlp::core

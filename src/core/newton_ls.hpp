@@ -68,6 +68,7 @@ class LsNewton final : public AnalogNewtonSystem {
   BackendStats before_it1_;
   BackendStats before_it2_;
   xbar::AmplifierStats amps_before_;
+  SettleFrontLog fronts_;  ///< of the M1 settles.
 };
 
 }  // namespace memlp::core

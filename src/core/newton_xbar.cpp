@@ -54,8 +54,7 @@ XbarNewton::XbarNewton(const lp::LinearProgram& problem,
       negfree_(negfree),
       backend_(backend),
       amps_(amps),
-      seen_factorizations_(
-          backend.stats().settle_cache.full_factorizations) {}
+      fronts_(backend) {}
 
 void XbarNewton::begin_attempt(const PdipState& state,
                                std::size_t attempt_index, bool reuse_array,
@@ -162,15 +161,7 @@ NewtonStep XbarNewton::solve(const PdipState& /*state*/, double mu,
   const auto delta_aug =
       backend_.solve(*rhs, AnalogBackend::IoBoundary::kOutputOnly);
   settle_span.close();
-  const std::uint64_t factorizations =
-      backend_.stats().settle_cache.full_factorizations;
-  if (factorizations != seen_factorizations_) {
-    seen_factorizations_ = factorizations;
-    if (const LuFactorization* lu = backend_.settle_factor()) {
-      front_dims_.push_back(lu->front_dim());
-      deferred_pivots_ += lu->deferred_pivots();
-    }
-  }
+  fronts_.record();
   if (!delta_aug) return {std::nullopt, true};
   return {split_step(layout_, negfree_.restrict(*delta_aug)), true};
 }
@@ -201,16 +192,7 @@ void XbarNewton::describe(XbarSolveStats& stats) const {
 void XbarNewton::collect_stats(XbarSolveStats& stats) const {
   stats.backend = backend_.stats();
   stats.amps = amps_.stats();
-  SettleFrontStats& fronts = stats.settle_fronts;
-  fronts.factorizations = front_dims_.size();
-  fronts.deferred_pivots = deferred_pivots_;
-  if (front_dims_.empty()) return;
-  std::vector<std::size_t> dims = front_dims_;
-  const auto middle = dims.begin() + static_cast<std::ptrdiff_t>(
-                                         (dims.size() - 1) / 2);
-  std::nth_element(dims.begin(), middle, dims.end());
-  fronts.front_dim_p50 = *middle;
-  fronts.front_dim_max = *std::max_element(dims.begin(), dims.end());
+  stats.settle_fronts = fronts_.stats();
 }
 
 }  // namespace memlp::core

@@ -57,10 +57,10 @@ struct XbarPdipOptions {
   std::uint64_t seed = 0x5eed;
 };
 
-/// The dense fronts of a solve's planned settle factorizations (see
+/// The dense fronts of a solve's settle factorizations (see
 /// linalg/lu.hpp): simulator bookkeeping, not hardware operations.
 struct SettleFrontStats {
-  std::size_t factorizations = 0;   ///< planned factorizations made.
+  std::size_t factorizations = 0;   ///< settle factorizations made.
   std::size_t front_dim_p50 = 0;    ///< median front dimension.
   std::size_t front_dim_max = 0;
   std::size_t deferred_pivots = 0;  ///< plan rows deferred, summed.
@@ -78,7 +78,8 @@ struct XbarSolveStats {
   std::size_t attempts = 1;       ///< 1 + retries actually used.
   std::size_t system_dim = 0;     ///< dimension of the augmented matrix M.
   std::size_t compensations = 0;  ///< negative-elimination variables.
-  SettleFrontStats settle_fronts;  ///< empty for unplanned settles (ls).
+  /// Of the system array's settles (ls: of M1; M2 is not recorded).
+  SettleFrontStats settle_fronts;
 };
 
 /// Result bundle: the LP solution plus the hardware record.

@@ -314,9 +314,10 @@ std::optional<Vec> Crossbar::solve(std::span<const double> b, IoBoundary io) {
   MEMLP_EXPECT(programmed());
   MEMLP_EXPECT_MSG(effective_.square(), "solve requires a square array");
   MEMLP_EXPECT_MSG(b.size() == rows(), "solve: size mismatch");
-  // A re-factor copies the effective array into the factor; a hit copies
-  // nothing.
-  if (!settle_cache_.prepare(rows(), [this] { return effective_; })) {
+  // A re-factor copies the effective array into the storage of the factor
+  // it replaces; a hit copies nothing.
+  if (!settle_cache_.prepare(rows(),
+                             [this](Matrix& a) { a = effective_; })) {
     // A singular effective array never settles: no solve happened, so
     // nothing is charged to the energy ledger and solve_ops stays put.
     ++stats_.failed_settles;

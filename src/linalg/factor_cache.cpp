@@ -13,6 +13,12 @@ bool FactorizationCache::reuse(std::size_t dim) noexcept {
   return true;
 }
 
+Matrix FactorizationCache::take_storage(std::size_t dim) noexcept {
+  Matrix storage = std::exchange(storage_, Matrix());
+  if (storage.rows() != dim || storage.cols() != dim) return Matrix();
+  return storage;
+}
+
 void FactorizationCache::factor(Matrix a) {
   MEMLP_EXPECT_MSG(a.square(), "FactorizationCache: matrix must be square");
   lu_.emplace(std::move(a), plan_);  // charges its own flops

@@ -8,9 +8,11 @@
 // the arrays call whenever a write changed a programmed level. Reusing the
 // LU of an unchanged matrix is bit-identical to re-factoring it. The owner
 // hands prepare() a builder, not a matrix, so only a re-factor assembles
-// (or copies) the array, and the factor takes it over. Every
-// factorization follows the cache's pivot plan (linalg/lu.hpp), which the
-// array's owner sets when it programs the array.
+// (or copies) the array, and the factor takes it over. The factor an
+// invalidate() drops leaves its N² storage behind, and the next re-factor
+// builds into it: a refactor allocates (and page-faults) no fresh N²
+// buffer. Every factorization follows the cache's pivot plan
+// (linalg/lu.hpp), which the array's owner sets when it programs the array.
 #pragma once
 
 #include <cstddef>
@@ -62,28 +64,38 @@ struct FactorCacheStats {
 /// each batch of solve() calls.
 class FactorizationCache {
  public:
-  /// Declares that the matrix changed (or was replaced wholesale): the next
-  /// prepare() re-factors.
-  void invalidate() noexcept { lu_.reset(); }
+  /// Declares that the matrix changed: the next prepare() re-factors, into
+  /// the storage of the factor dropped here.
+  void invalidate() noexcept {
+    if (lu_) storage_ = std::move(*lu_).release();
+    lu_.reset();
+  }
 
   /// Sets the pivot plan every later factorization follows (empty = dense
-  /// partial pivoting) and drops the cached factor.
+  /// partial pivoting) and drops the cached factor and its storage.
   void set_plan(PivotPlan plan) {
     plan_ = std::move(plan);
     lu_.reset();
+    storage_ = Matrix();
   }
 
   [[nodiscard]] const PivotPlan& plan() const noexcept { return plan_; }
 
   /// Ensures a factorization of the current `dim` × `dim` matrix is
   /// available: re-uses the cached one when nothing was invalidated since
-  /// the last prepare() and the size is the same, else factors the matrix
-  /// `build()` returns, moved into the factor. A hit builds and copies
-  /// nothing. Returns false when the matrix is singular.
+  /// the last prepare() and the size is the same, else calls
+  /// `build(Matrix& a)` to write the matrix into `a` and factors it in
+  /// place. `a` is the storage of the factor the last invalidate() dropped
+  /// when that was `dim` × `dim`, else empty (the builder sizes it). A hit
+  /// builds and copies nothing. Returns false when the matrix is singular.
   // memlint:hot — per-iteration settle (re)factorization entry.
   template <class Build>
   bool prepare(std::size_t dim, Build&& build) {
-    if (!reuse(dim)) factor(std::forward<Build>(build)());
+    if (!reuse(dim)) {
+      Matrix a = take_storage(dim);
+      std::forward<Build>(build)(a);
+      factor(std::move(a));
+    }
     return !lu_->singular();
   }
 
@@ -109,12 +121,18 @@ class FactorizationCache {
   /// The hit test of prepare(): true, and counted, when the cached factor
   /// is of a `dim` × `dim` matrix and nothing was invalidated since.
   bool reuse(std::size_t dim) noexcept;
+  /// The miss path of prepare(): the kept storage when it is `dim` × `dim`
+  /// (else an empty matrix), leaving none kept.
+  Matrix take_storage(std::size_t dim) noexcept;
   /// The miss path of prepare(): factors `a` with the plan.
   void factor(Matrix a);
 
   FactorCacheStats stats_;
   PivotPlan plan_;
   std::optional<LuFactorization> lu_;  ///< LU of the last prepared matrix.
+  /// The N² storage of the factor the last invalidate() dropped; empty
+  /// while a factor is cached, so the cache holds one N² buffer at most.
+  Matrix storage_;
 };
 
 }  // namespace memlp

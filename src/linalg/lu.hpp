@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -102,6 +103,10 @@ class LuFactorization {
   [[nodiscard]] std::optional<double> inverse_norm_estimate() const;
 
   [[nodiscard]] std::size_t size() const noexcept { return lu_.rows(); }
+
+  /// Gives up the factor's N² storage (its values are the factor's), for
+  /// the next factorization to be built into.
+  [[nodiscard]] Matrix release() && noexcept { return std::move(lu_); }
 
   /// Rows factored by the dense block kernel: N − the static pivots.
   [[nodiscard]] std::size_t front_dim() const noexcept {

@@ -197,15 +197,23 @@ Vec TiledCrossbarMatrix::multiply(std::span<const double> x,
 }
 
 Matrix TiledCrossbarMatrix::assemble_effective() const {
+  Matrix full;
+  assemble_effective(full);
+  return full;
+}
+
+void TiledCrossbarMatrix::assemble_effective(Matrix& full) const {
   MEMLP_EXPECT(programmed());
-  Matrix full(rows_, cols_);
-  // Zero shards hold no cells; their block of `full` stays zero-initialized.
+  if (full.rows() == rows_ && full.cols() == cols_)
+    std::ranges::fill(full.data(), 0.0);
+  else
+    full = Matrix(rows_, cols_);
+  // Zero shards hold no cells; their block of `full` stays zero.
   for (std::size_t bi = 0; bi < row_blocks_.size(); ++bi)
     for (std::size_t bj = 0; bj < col_blocks_.size(); ++bj)
       if (!tile_is_zero(bi, bj))
         full.set_block(row_blocks_[bi].begin, col_blocks_[bj].begin,
                        tile(bi, bj).effective());
-  return full;
 }
 
 std::optional<Vec> TiledCrossbarMatrix::solve(std::span<const double> b,
@@ -214,10 +222,10 @@ std::optional<Vec> TiledCrossbarMatrix::solve(std::span<const double> b,
   MEMLP_EXPECT(programmed());
   MEMLP_EXPECT_MSG(rows_ == cols_, "tiled solve requires a square matrix");
   MEMLP_EXPECT(b.size() == rows_);
-  // Only a re-factor assembles the composite, and the factor takes it over:
-  // no dense copy of the tiles outlives the settle.
-  if (!settle_cache_.prepare(rows_,
-                             [this] { return assemble_effective(); })) {
+  // Only a re-factor assembles the composite, into the storage of the
+  // factor it replaces: no dense copy of the tiles outlives the settle.
+  if (!settle_cache_.prepare(
+          rows_, [this](Matrix& full) { assemble_effective(full); })) {
     // A singular composite network never settles: no boundary voltages move
     // and nothing is charged — only the failure is recorded.
     ++stats_.failed_global_settles;

@@ -142,6 +142,9 @@ class TiledCrossbarMatrix {
 
   /// The logical matrix realized by the imperfect tiles, assembled.
   [[nodiscard]] Matrix assemble_effective() const;
+  /// The same, written into `full`: its storage is reused (zeroed first)
+  /// when it already has this shape.
+  void assemble_effective(Matrix& full) const;
 
   [[nodiscard]] const NocStats& noc_stats() const noexcept { return stats_; }
   /// Sum of all tiles' crossbar counters.
@@ -207,8 +210,9 @@ class TiledCrossbarMatrix {
   xbar::AmplifierBank amps_;
   NocStats stats_;
   /// Caches the composite factorization across settles; dropped only when
-  /// a write changed some tile. A re-factor assembles the composite afresh
-  /// (assemble_effective) and the factor takes it over.
+  /// a write changed some tile. A re-factor assembles the composite
+  /// (assemble_effective) into the dropped factor's storage and the new
+  /// factor takes it over.
   FactorizationCache settle_cache_;
 };
 

@@ -31,7 +31,7 @@ Vec random_vec(std::size_t n, Rng& rng) {
 
 /// Prepares `cache` over the matrix `a` (built, and copied, only on a miss).
 bool prepare(FactorizationCache& cache, const Matrix& a) {
-  return cache.prepare(a.rows(), [&] { return a; });
+  return cache.prepare(a.rows(), [&](Matrix& out) { out = a; });
 }
 
 double solve_error(const Matrix& a, std::span<const double> b,
@@ -72,9 +72,9 @@ TEST(FactorCache, HitBuildsNothing) {
   const Matrix a = random_well_conditioned(7, rng);
   FactorizationCache cache;
   std::size_t builds = 0;
-  const auto build = [&] {
+  const auto build = [&](Matrix& out) {
     ++builds;
-    return a;
+    out = a;
   };
   ASSERT_TRUE(cache.prepare(a.rows(), build));
   ASSERT_TRUE(cache.prepare(a.rows(), build));
@@ -83,6 +83,59 @@ TEST(FactorCache, HitBuildsNothing) {
   ASSERT_TRUE(cache.prepare(a.rows(), build));
   EXPECT_EQ(builds, 2u);
   EXPECT_EQ(cache.stats().prepare_hits, 1u);
+}
+
+TEST(FactorCache, RefactorReusesReleasedStorage) {
+  // invalidate() keeps the dropped factor's N² storage and the next miss
+  // hands it to the builder; a hit builds nothing, and set_plan() (like a
+  // change of size) starts from fresh storage. The factor built into reused
+  // storage is bit for bit the fresh one.
+  Rng rng(13);
+  const std::size_t n = 11;
+  Matrix a = random_well_conditioned(n, rng);
+  FactorizationCache cache;
+  std::size_t builds = 0;
+  const double* handed = nullptr;  // the storage the builder was given
+  const double* built = nullptr;   // the storage the factor took over
+  std::size_t handed_rows = 0;
+  const auto build = [&](Matrix& out) {
+    ++builds;
+    handed = out.empty() ? nullptr : out.data().data();
+    handed_rows = out.rows();
+    out = a;
+    built = out.data().data();
+  };
+  ASSERT_TRUE(cache.prepare(n, build));
+  EXPECT_EQ(handed, nullptr);  // the first factor starts from nothing
+  const double* factor_storage = built;
+
+  ASSERT_TRUE(cache.prepare(n, build));  // a hit builds nothing
+  EXPECT_EQ(builds, 1u);
+
+  a(3, 3) += 1.0;
+  cache.invalidate();
+  ASSERT_TRUE(cache.prepare(n, build));
+  EXPECT_EQ(builds, 2u);
+  EXPECT_EQ(handed, factor_storage);
+  EXPECT_EQ(handed_rows, n);
+  const Vec b = random_vec(n, rng);
+  const Vec x = cache.solve(b);
+  const Vec expected = LuFactorization(a).solve(b);
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(x[i], expected[i]);
+
+  cache.invalidate();
+  cache.set_plan({});  // drops the kept storage
+  ASSERT_TRUE(cache.prepare(n, build));
+  EXPECT_EQ(builds, 3u);
+  EXPECT_EQ(handed, nullptr);
+
+  cache.invalidate();  // kept storage of the wrong size is not handed on
+  const Matrix bigger = random_well_conditioned(n + 2, rng);
+  ASSERT_TRUE(cache.prepare(n + 2, [&](Matrix& out) {
+    handed = out.empty() ? nullptr : out.data().data();
+    out = bigger;
+  }));
+  EXPECT_EQ(handed, nullptr);
 }
 
 TEST(FactorCache, NoteRowForcesRefactorInExactMode) {
