@@ -204,16 +204,24 @@ Matrix TiledCrossbarMatrix::assemble_effective() const {
 
 void TiledCrossbarMatrix::assemble_effective(Matrix& full) const {
   MEMLP_EXPECT(programmed());
-  if (full.rows() == rows_ && full.cols() == cols_)
-    std::ranges::fill(full.data(), 0.0);
-  else
-    full = Matrix(rows_, cols_);
-  // Zero shards hold no cells; their block of `full` stays zero.
-  for (std::size_t bi = 0; bi < row_blocks_.size(); ++bi)
-    for (std::size_t bj = 0; bj < col_blocks_.size(); ++bj)
-      if (!tile_is_zero(bi, bj))
-        full.set_block(row_blocks_[bi].begin, col_blocks_[bj].begin,
-                       tile(bi, bj).effective());
+  // Every entry is written once: a tile's block from its array, a zero
+  // shard's (which holds no cells) with zeros, unless the storage is fresh
+  // and already zero.
+  const bool reused = full.rows() == rows_ && full.cols() == cols_;
+  if (!reused) full = Matrix(rows_, cols_);
+  for (std::size_t bi = 0; bi < row_blocks_.size(); ++bi) {
+    const BlockRange rows = row_blocks_[bi];
+    for (std::size_t bj = 0; bj < col_blocks_.size(); ++bj) {
+      const BlockRange cols = col_blocks_[bj];
+      if (!tile_is_zero(bi, bj)) {
+        full.set_block(rows.begin, cols.begin, tile(bi, bj).effective());
+      } else if (reused) {
+        for (std::size_t i = rows.begin; i < rows.begin + rows.length; ++i)
+          std::ranges::fill(full.row(i).subspan(cols.begin, cols.length),
+                            0.0);
+      }
+    }
+  }
 }
 
 std::optional<Vec> TiledCrossbarMatrix::solve(std::span<const double> b,

@@ -142,8 +142,8 @@ class TiledCrossbarMatrix {
 
   /// The logical matrix realized by the imperfect tiles, assembled.
   [[nodiscard]] Matrix assemble_effective() const;
-  /// The same, written into `full`: its storage is reused (zeroed first)
-  /// when it already has this shape.
+  /// The same, written into `full`: its storage is reused when it already
+  /// has this shape.
   void assemble_effective(Matrix& full) const;
 
   [[nodiscard]] const NocStats& noc_stats() const noexcept { return stats_; }

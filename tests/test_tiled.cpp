@@ -61,6 +61,25 @@ TEST(Tiled, AssembledEffectiveMatchesIdeal) {
       EXPECT_NEAR(effective(i, j), a(i, j), 1e-5 * (1 + a(i, j)));
 }
 
+TEST(Tiled, AssemblyIntoReusedStorageClearsZeroShards) {
+  // A block-diagonal matrix on 4-wide tiles: the off-diagonal shards are
+  // all-zero and hold no cells. Assembled into storage of the right shape
+  // that holds other values, every entry of the result is the tiles'.
+  Rng rng(4);
+  Matrix a(8, 8);
+  a.set_block(0, 0, random_nonneg(4, 4, rng));
+  a.set_block(4, 4, random_nonneg(4, 4, rng));
+  TiledCrossbarMatrix tiled(ideal_tiled(4), Rng(5));
+  tiled.program(a);
+  Matrix reused(8, 8, -7.0);
+  const double* storage = reused.data().data();
+  tiled.assemble_effective(reused);
+  EXPECT_EQ(reused.data().data(), storage);
+  EXPECT_EQ(reused, tiled.assemble_effective());
+  EXPECT_EQ(reused(0, 4), 0.0);
+  EXPECT_EQ(reused(7, 3), 0.0);
+}
+
 TEST(Tiled, MultiplyMatchesDenseMvm) {
   Rng rng(4);
   const Matrix a = random_nonneg(13, 9, rng);
