@@ -1,5 +1,6 @@
 // Micro-benchmarks of the crossbar simulator (google-benchmark): programming
-// cost, analog MVM, analog solve, and the per-iteration diagonal update —
+// cost, analog MVM, analog solve (a settle of the monolithic crossbar, the
+// one-tile noc::TiledCrossbarMatrix), and the per-iteration diagonal update —
 // simulator wall time, not hardware estimates (those come from
 // perf::HardwareModel in the figure harnesses).
 #include <benchmark/benchmark.h>
@@ -11,6 +12,7 @@
 
 #include "common/rng.hpp"
 #include "crossbar/crossbar.hpp"
+#include "noc/tiled.hpp"
 
 namespace {
 
@@ -62,7 +64,7 @@ void BM_AnalogSolve(benchmark::State& state) {
   for (double& v : b) v = rng.uniform(-1.0, 1.0);
   for (auto _ : state) {
     // Re-program so every solve refactors (as the PDIP iteration does).
-    xbar::Crossbar crossbar(paper_config(), Rng(6));
+    noc::TiledCrossbarMatrix crossbar(paper_config(), Rng(6));
     crossbar.program(a);
     benchmark::DoNotOptimize(crossbar.solve(b));
   }

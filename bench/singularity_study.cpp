@@ -18,9 +18,9 @@
 #include "bench_util.hpp"
 #include "core/kkt.hpp"
 #include "core/negfree.hpp"
-#include "crossbar/crossbar.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/ops.hpp"
+#include "noc/tiled.hpp"
 
 using namespace memlp;
 
@@ -59,9 +59,10 @@ int main() {
       hw.variation = variation > 0.0
                          ? mem::VariationModel::uniform(variation)
                          : mem::VariationModel::none();
-      xbar::Crossbar crossbar(hw, Rng(config.seed + 100 * draw + 1));
+      // The monolithic crossbar: the one-tile structure.
+      noc::TiledCrossbarMatrix crossbar(hw, Rng(config.seed + 100 * draw + 1));
       crossbar.program(ideal);
-      const LuFactorization lu(crossbar.effective());
+      const LuFactorization lu(crossbar.assemble_effective());
       if (lu.singular()) {
         ++singular;
         continue;

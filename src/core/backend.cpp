@@ -1,104 +1,49 @@
 #include "core/backend.hpp"
 
-#include <sstream>
 #include <string>
 #include <utility>
 
-#include "common/contracts.hpp"
 #include "obs/trace.hpp"
 
 namespace memlp::core {
 namespace {
 
-class SingleCrossbarBackend final : public AnalogBackend {
+class ArrayBackend final : public AnalogBackend {
  public:
-  SingleCrossbarBackend(const xbar::CrossbarConfig& config, Rng rng)
-      : crossbar_(config, rng) {}
+  template <class Config>
+  ArrayBackend(const Config& config, Rng rng) : array_(config, rng) {}
 
   void program(const Matrix& a, double full_scale_hint,
                PivotPlan plan) override {
-    crossbar_.program(a, full_scale_hint, std::move(plan));
+    array_.program(a, full_scale_hint, std::move(plan));
   }
   void update_cells(std::span<const xbar::CellUpdate> updates) override {
-    crossbar_.update_cells(updates);
+    array_.update_cells(updates);
   }
   Vec multiply(std::span<const double> x, IoBoundary io) override {
-    return crossbar_.multiply(x, io);
+    return array_.multiply(x, io);
   }
   std::optional<Vec> solve(std::span<const double> b,
                            IoBoundary io) override {
-    return crossbar_.solve(b, io);
+    return array_.solve(b, io);
   }
   BackendStats stats() const override {
     BackendStats s;
-    s.xbar = crossbar_.stats();
-    s.settle_cache = crossbar_.settle_cache_stats();
-    s.num_tiles = 1;
+    s.xbar = array_.crossbar_stats();
+    s.amps = array_.amplifier_stats();
+    s.noc = array_.noc_stats();
+    s.settle_cache = array_.settle_cache_stats();
+    s.num_tiles = array_.num_tiles();
+    s.zero_tiles = array_.num_zero_tiles();
     return s;
   }
   const LuFactorization* settle_factor() const override {
-    return crossbar_.settle_factor();
+    return array_.settle_factor();
   }
-  void reset_stats() override { crossbar_.reset_stats(); }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "single crossbar " << crossbar_.rows() << "x" << crossbar_.cols();
-    return os.str();
-  }
+  void reset_stats() override { array_.reset_stats(); }
 
  private:
-  xbar::Crossbar crossbar_;
-};
-
-class TiledNocBackend final : public AnalogBackend {
- public:
-  TiledNocBackend(const BackendOptions& options, Rng rng)
-      : tiled_(noc::TiledConfig{options.tile_dim, options.topology,
-                                options.crossbar},
-               rng) {}
-
-  void program(const Matrix& a, double full_scale_hint,
-               PivotPlan plan) override {
-    tiled_.program(a, full_scale_hint, std::move(plan));
-  }
-  void update_cells(std::span<const xbar::CellUpdate> updates) override {
-    tiled_.update_cells(updates);
-  }
-  Vec multiply(std::span<const double> x, IoBoundary io) override {
-    return tiled_.multiply(x, io);
-  }
-  std::optional<Vec> solve(std::span<const double> b,
-                           IoBoundary io) override {
-    return tiled_.solve(b, io);
-  }
-  BackendStats stats() const override {
-    BackendStats s;
-    s.xbar = tiled_.crossbar_stats();
-    s.amps = tiled_.amplifier_stats();
-    s.noc = tiled_.noc_stats();
-    s.settle_cache = tiled_.settle_cache_stats();
-    s.num_tiles = tiled_.num_tiles();
-    s.zero_tiles = tiled_.num_zero_tiles();
-    return s;
-  }
-  const LuFactorization* settle_factor() const override {
-    return tiled_.settle_factor();
-  }
-  void reset_stats() override { tiled_.reset_stats(); }
-  std::string describe() const override {
-    std::ostringstream os;
-    os << (tiled_.config().topology == noc::TopologyKind::kHierarchical
-               ? "hierarchical"
-               : "mesh")
-       << " NoC, " << tiled_.num_tiles() << " tiles of "
-       << tiled_.config().tile_dim;
-    if (tiled_.programmed() && tiled_.num_zero_tiles() > 0)
-      os << " (" << tiled_.num_zero_tiles() << " zero shards skipped)";
-    return os.str();
-  }
-
- private:
-  noc::TiledCrossbarMatrix tiled_;
+  noc::TiledCrossbarMatrix array_;
 };
 
 }  // namespace
@@ -135,17 +80,12 @@ void annotate_backend_stats(obs::PhaseSpan& span, const BackendStats& delta) {
 }
 
 std::unique_ptr<AnalogBackend> make_backend(const BackendOptions& options,
-                                            std::size_t dim, Rng rng) {
-  MEMLP_EXPECT(dim > 0);
-  const std::size_t crossbar_limit =
-      options.crossbar.max_dim == 0 ? dim : options.crossbar.max_dim;
-  const bool needs_noc = options.force_noc || dim > crossbar_limit;
-  if (needs_noc) {
-    BackendOptions tiled_options = options;
-    tiled_options.crossbar.max_dim = 0;  // tile enforces its own bound
-    return std::make_unique<TiledNocBackend>(tiled_options, rng);
-  }
-  return std::make_unique<SingleCrossbarBackend>(options.crossbar, rng);
+                                            Rng rng) {
+  if (!options.force_noc)
+    return std::make_unique<ArrayBackend>(options.crossbar, rng);
+  return std::make_unique<ArrayBackend>(
+      noc::TiledConfig{options.tile_dim, options.topology, options.crossbar},
+      rng);
 }
 
 }  // namespace memlp::core

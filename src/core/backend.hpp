@@ -1,9 +1,10 @@
 // Analog execution backend for the crossbar solvers.
 //
-// Both solvers drive their system matrix through this interface so the same
-// algorithm code runs on a single monolithic crossbar (Solver 1's default)
-// or on a grid of crossbar tiles behind an analog NoC (§3.4) when the matrix
-// exceeds the manufacturable crossbar size.
+// Both solvers drive their system matrix through this interface. Its one
+// implementation holds a noc::TiledCrossbarMatrix, the one settle owner:
+// a single monolithic crossbar (Solver 1's default) is its one-tile case,
+// and a grid of crossbar tiles behind an analog NoC (§3.4) is the forced
+// case for matrices beyond the manufacturable crossbar size.
 #pragma once
 
 #include <cstddef>
@@ -59,14 +60,16 @@ struct BackendStats {
 /// Hardware selection for a solver's system matrix.
 struct BackendOptions {
   xbar::CrossbarConfig crossbar{};
-  /// Force the NoC-tiled structure even for small systems.
+  /// Hold the system on a grid of tiles behind the NoC, not on one
+  /// monolithic crossbar.
   bool force_noc = false;
-  /// Tile side used when the NoC structure is engaged.
+  /// Tile side of the grid when force_noc is set.
   std::size_t tile_dim = 128;
   noc::TopologyKind topology = noc::TopologyKind::kHierarchical;
 };
 
-/// A programmable analog matrix (single crossbar or tiled NoC).
+/// A programmable analog matrix (single crossbar or tiled NoC). Tests
+/// substitute fakes for the one implementation make_backend() returns.
 class AnalogBackend {
  public:
   virtual ~AnalogBackend() = default;
@@ -90,9 +93,6 @@ class AnalogBackend {
   /// The factorization the settles currently use (nullptr when none).
   [[nodiscard]] virtual const LuFactorization* settle_factor() const = 0;
   virtual void reset_stats() = 0;
-  /// Human-readable description for reports ("crossbar 128x128", "mesh NoC
-  /// of 16 tiles", ...).
-  [[nodiscard]] virtual std::string describe() const = 0;
 };
 
 /// Annotates a trace phase span with a BackendStats counter delta: crossbar
@@ -101,11 +101,10 @@ class AnalogBackend {
 /// No-op when the span has no sink attached.
 void annotate_backend_stats(obs::PhaseSpan& span, const BackendStats& delta);
 
-/// Chooses single-crossbar vs NoC-tiled execution for a `dim`-sized system:
-/// the NoC engages when force_noc is set or the system exceeds the
-/// crossbar's max_dim (0 = no limit). tile_dim only sizes the tiles once
-/// the NoC is engaged.
+/// The analog array of a system: tiles of options.tile_dim behind the NoC
+/// when force_noc is set, else one monolithic crossbar (the one-tile
+/// structure, whose tile holds the whole system).
 std::unique_ptr<AnalogBackend> make_backend(const BackendOptions& options,
-                                            std::size_t dim, Rng rng);
+                                            Rng rng);
 
 }  // namespace memlp::core

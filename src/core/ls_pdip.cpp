@@ -136,14 +136,14 @@ XbarSolveOutcome solve_ls_pdip(const lp::LinearProgram& original,
   // gain-ranged writes (see CrossbarConfig::per_cell_gain_ranging).
   BackendOptions m1_hardware = options.hardware;
   if (schur) m1_hardware.crossbar.per_cell_gain_ranging = true;
-  auto backend1 = make_backend(m1_hardware, negfree1.dim(), rng.split());
+  auto backend1 = make_backend(m1_hardware, rng.split());
   // M2 is (n+m) diagonal; it uses the paper's plain globally-mapped array.
   // Only the Eq. (16b) slack recovery reads it (the literal mode, or
   // kM2Diagonal); the default kStable recovery never does, so the array is
   // neither built nor programmed then.
   std::unique_ptr<AnalogBackend> backend2;
   if (!schur || options.recovery == RecoveryMode::kM2Diagonal)
-    backend2 = make_backend(options.hardware, n + m, rng.split());
+    backend2 = make_backend(options.hardware, rng.split());
   xbar::AmplifierBank amps;
 
   // The iteration loop itself lives in core/engine.hpp; this entry point

@@ -47,8 +47,7 @@ XbarSolveOutcome solve_with_context(const lp::LinearProgram& original,
     context.negfree.emplace(
         assemble_kkt(problem, PdipState::ones(layout.n, layout.m)));
     Rng rng(options.seed);
-    context.backend =
-        make_backend(options.hardware, context.negfree->dim(), rng.split());
+    context.backend = make_backend(options.hardware, rng.split());
     context.a_scaled = problem.a;
     context.array_programmed = false;
     context.amps.reset_stats();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
@@ -16,8 +15,6 @@ void CrossbarConfig::validate() const {
   device.validate();
   if (conductance_levels < 2)
     throw ConfigError("crossbar: need >= 2 conductance levels");
-  if (sense_conductance <= 0.0)
-    throw ConfigError("crossbar: sense conductance must be > 0");
   if (io_bits > 24) throw ConfigError("crossbar: io_bits must be <= 24");
   if (read_noise_sigma < 0.0 || read_noise_sigma > 0.5)
     throw ConfigError("crossbar: read_noise_sigma must be in [0, 0.5]");
@@ -25,9 +22,6 @@ void CrossbarConfig::validate() const {
       write_scheme.half_select_disturb > 1e-2)
     throw ConfigError(
         "crossbar: half_select_disturb must be in [0, 1e-2]");
-  if (per_cell_gain_ranging && !compensate_sense_divider)
-    throw ConfigError(
-        "crossbar: per-cell gain ranging assumes a compensated readout");
 }
 
 std::size_t CrossbarStats::pulse_bucket(std::size_t pulses) noexcept {
@@ -75,17 +69,10 @@ Crossbar::Crossbar(CrossbarConfig config, Rng rng)
   config_.validate();
 }
 
-void Crossbar::program(const Matrix& a, double full_scale_hint,
-                       PivotPlan plan) {
+void Crossbar::program(const Matrix& a, double full_scale_hint) {
   MEMLP_EXPECT_MSG(a.nonnegative(),
                    "crossbar can only represent non-negative matrices");
   MEMLP_EXPECT(a.rows() > 0 && a.cols() > 0);
-  if (config_.max_dim != 0) {
-    MEMLP_EXPECT_MSG(a.rows() <= config_.max_dim && a.cols() <= config_.max_dim,
-                     "matrix " << a.rows() << "x" << a.cols()
-                               << " exceeds crossbar max_dim "
-                               << config_.max_dim);
-  }
 
   const bool same_shape =
       programmed() && a.rows() == ideal_.rows() && a.cols() == ideal_.cols();
@@ -116,9 +103,6 @@ void Crossbar::program(const Matrix& a, double full_scale_hint,
   obs::CostLedger::charge_active(
       {.cells_written = stats_.cells_written - cells_before,
        .write_pulses = stats_.write_pulses - pulses_before});
-  // Every cell was re-drawn: the cached factorization is of a different
-  // matrix (and possibly a different shape) — drop it wholesale.
-  settle_cache_.set_plan(std::move(plan));
 }
 
 std::size_t Crossbar::update_cells(std::span<const CellUpdate> updates) {
@@ -139,7 +123,6 @@ std::size_t Crossbar::update_cells(std::span<const CellUpdate> updates) {
       // loop. This mirrors real deployments, where the full-scale is chosen
       // with headroom up front; the solvers pass a headroom hint to make
       // this path rare. Doubling the new maximum damps re-map thrashing.
-      // program() invalidates the cached factorization.
       //
       // Deliberately NO half-select disturb on this path, unlike the
       // incremental writes in apply_updates. A full program() is an
@@ -154,7 +137,7 @@ std::size_t Crossbar::update_cells(std::span<const CellUpdate> updates) {
       apply_updates(updates.subspan(start, i - start));
       Matrix updated = ideal_;
       updated(updates[i].row, updates[i].col) = updates[i].value;
-      program(updated, 2.0 * updates[i].value, settle_cache_.plan());
+      program(updated, 2.0 * updates[i].value);
       start = i + 1;
     }
   }
@@ -167,16 +150,11 @@ void Crossbar::apply_updates(std::span<const CellUpdate> updates) {
   const std::size_t pulses_before = stats_.write_pulses;
   for (const CellUpdate& u : updates) {
     ideal_(u.row, u.col) = u.value;
-    if (write_cell(u.row, u.col, u.value, /*force=*/false)) {
-      // Precise invalidation: only a cell whose programmed level actually
-      // changed can move the effective matrix (its own value and, through
-      // half-select disturb, its row and column), so only then is the
-      // settle cache dropped. A no-op rewrite (same quantized level, the
-      // common case for slowly-moving PDIP diagonals) keeps the cached
-      // factorization fully valid.
-      settle_cache_.invalidate();
+    // Only a cell whose programmed level actually changed drifts its row
+    // and column (and is counted, which tells the owner its settle factor
+    // is stale); a no-op rewrite moves nothing.
+    if (write_cell(u.row, u.col, u.value, /*force=*/false))
       apply_half_select_disturb(u.row, u.col);
-    }
   }
   obs::CostLedger::charge_active(
       {.cells_written = stats_.cells_written - cells_before,
@@ -205,7 +183,7 @@ bool Crossbar::write_cell(std::size_t r, std::size_t c, double value,
     level_g_(r, c) = quantized;
     const double value_eff = config_.variation.perturb(quantized, rng_);
     effective_(r, c) = value_eff;
-    // Keep a consistent conductance view for stats/divider bookkeeping.
+    // Keep a consistent conductance view for half-select disturb.
     effective_g_(r, c) = std::max(
         programming_.g_min() + value_eff * slope_, 1e-300);
     return true;
@@ -239,12 +217,11 @@ double Crossbar::logical_from_conductance(double g_eff, std::size_t r,
     g_eff = g_eff /
             (1.0 + g_eff * config_.line_resistance_ohm * segments);
   }
-  if (config_.subtract_gmin_offset)
-    return (g_eff - programming_.g_min()) / slope_;
-  return g_eff / slope_;
+  // The dummy-column reference subtracts the g_min offset of zero entries.
+  return (g_eff - programming_.g_min()) / slope_;
 }
 
-void Crossbar::apply_read_noise(Vec& out) {
+void Crossbar::add_read_noise(Vec& out) {
   if (config_.read_noise_sigma <= 0.0 || out.empty()) return;
   const double scale = norm_inf(out);
   if (scale <= 0.0) return;
@@ -269,16 +246,6 @@ void Crossbar::apply_half_select_disturb(std::size_t r, std::size_t c) {
     if (i != r) nudge(i, c);
 }
 
-void Crossbar::apply_sense_divider(Vec& out) const {
-  if (config_.compensate_sense_divider) return;
-  const double gs = config_.sense_conductance;
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    double sum = 0.0;
-    for (double g : effective_g_.row(k)) sum += g;
-    out[k] *= gs / (gs + sum);
-  }
-}
-
 namespace {
 
 bool quantize_input(Crossbar::IoBoundary io) {
@@ -301,43 +268,11 @@ Vec Crossbar::multiply(std::span<const double> x, IoBoundary io) {
   const std::span<const double> input =
       quantize_input(io) ? std::span<const double>(quantized) : x;
   Vec out = gemv(effective_, input);
-  apply_sense_divider(out);
-  apply_read_noise(out);
+  add_read_noise(out);
   if (quantize_output(io)) io_.quantize(out);
   ++stats_.mvm_ops;
   obs::CostLedger::charge_active({.settles = 1});
   return out;
-}
-
-// memlint:hot — the iterative settle loop; the paper's O(1) analog solve.
-std::optional<Vec> Crossbar::solve(std::span<const double> b, IoBoundary io) {
-  MEMLP_EXPECT(programmed());
-  MEMLP_EXPECT_MSG(effective_.square(), "solve requires a square array");
-  MEMLP_EXPECT_MSG(b.size() == rows(), "solve: size mismatch");
-  // A re-factor copies the effective array into the storage of the factor
-  // it replaces; a hit copies nothing.
-  if (!settle_cache_.prepare(rows(),
-                             [this](Matrix& a) { a = effective_; })) {
-    // A singular effective array never settles: no solve happened, so
-    // nothing is charged to the energy ledger and solve_ops stays put.
-    ++stats_.failed_settles;
-    return std::nullopt;
-  }
-  ++stats_.solve_ops;
-  obs::CostLedger::charge_active({.settles = 1});
-  const Vec quantized = quantize_input(io) ? io_.quantized(b) : Vec();
-  const std::span<const double> rhs =
-      quantize_input(io) ? std::span<const double>(quantized) : b;
-  Vec x = settle_cache_.solve(rhs);
-  if (!std::all_of(x.begin(), x.end(),
-                   [](double v) { return std::isfinite(v); })) {
-    // The settle physically ran (and was charged) but read out garbage.
-    ++stats_.failed_settles;
-    return std::nullopt;
-  }
-  apply_read_noise(x);
-  if (quantize_output(io)) io_.quantize(x);
-  return x;
 }
 
 }  // namespace memlp::xbar

@@ -22,10 +22,13 @@
 //   g_prog  = level-quantized g_ideal                     (write precision)
 //   g_eff   = variation(g_prog)                           (Eq. 18, per write)
 //
-// Reads under ideal conditions are exact by Kirchhoff's law (§4.3), so the
-// simulator returns the exact math on the *effective* matrix, optionally
-// degraded by 8-bit I/O quantization and, if sense-divider compensation is
-// disabled, by the per-column attenuation g_s/(g_s + Σg) of Eq. (5).
+// Reads under ideal conditions are exact by Kirchhoff's law (§4.3): the
+// readout compensates the Eq. (5) divider and a dummy column subtracts the
+// g_min offset, so the simulator returns the exact math on the *effective*
+// matrix, degraded only by the 8-bit I/O quantization and optional read
+// noise. This class is the array alone: program, write and MVM. Solve mode
+// is simulated by the array's owner, noc::TiledCrossbarMatrix, which settles
+// one tile or a composite of many through one factor cache.
 //
 // Latency/energy are not simulated here; every operation increments
 // CrossbarStats, which perf::HardwareModel converts to time and energy.
@@ -33,12 +36,10 @@
 
 #include <array>
 #include <cstddef>
-#include <optional>
 
 #include "common/rng.hpp"
 #include "crossbar/quantizer.hpp"
 #include "crossbar/write_scheme.hpp"
-#include "linalg/factor_cache.hpp"
 #include "linalg/matrix.hpp"
 #include "memristor/device.hpp"
 #include "memristor/programming.hpp"
@@ -61,25 +62,12 @@ struct CrossbarConfig {
   std::size_t conductance_levels = 256;
   /// Voltage I/O precision in bits (§4.1); 0 = ideal.
   std::size_t io_bits = 8;
-  /// Sense resistor conductance g_s (siemens). Large vs g_max keeps the
-  /// bit-line near virtual ground (small divider error).
-  double sense_conductance = 0.1;
-  /// When true (default, the paper's assumption of exact analog ops) the
-  /// readout compensates the g_s/(g_s+Σg) divider of Eq. (5) exactly; when
-  /// false the attenuation is left in the result (ablation).
-  bool compensate_sense_divider = true;
-  /// When true (default) a dummy-column reference subtracts the g_min offset
-  /// that zero entries contribute; when false the offset remains (ablation).
-  bool subtract_gmin_offset = true;
   /// Word/bit-line wire resistance per cell segment (IR drop, cf. [15]).
   /// A cell at row r, column c sees its conductance degraded by the series
   /// resistance of the (r + c + 2) segments between it and the drivers:
   /// g' = g / (1 + g·r_wire·(r + c + 2)). 0 (default) = ideal wires.
   /// Ignored by gain-ranged arrays (compensated periphery).
   double line_resistance_ohm = 0.0;
-  /// Maximum rows/cols this array supports; 0 = unlimited. The NoC tiles
-  /// enforce finite sizes (§3.4); standalone arrays default to unlimited.
-  std::size_t max_dim = 0;
   /// V/2 write-bias scheme (§3.3): per-half-select multiplicative state
   /// disturb. 0 = the paper's ideal assumption (see crossbar/write_scheme.hpp).
   WriteSchemeParameters write_scheme{};
@@ -93,7 +81,7 @@ struct CrossbarConfig {
   /// the reduced-KKT M1 of the large-scale solver, whose X⁻¹Z / Y⁻¹W
   /// diagonals span many decades while the A blocks stay O(1). Costs extra
   /// periphery per cell; the default (false) is the paper's plain
-  /// globally-mapped array. Requires compensate_sense_divider.
+  /// globally-mapped array.
   bool per_cell_gain_ranging = false;
 
   void validate() const;
@@ -110,7 +98,9 @@ struct CrossbarStats {
   std::size_t cells_written = 0;   ///< crosspoints whose level changed.
   std::size_t write_pulses = 0;    ///< total pulses across those cells.
   std::size_t mvm_ops = 0;         ///< analog multiply settles.
-  std::size_t solve_ops = 0;       ///< analog solve settles.
+  /// Analog solve settles of one tile: a monolithic array's settles and the
+  /// block-Jacobi diagonal settles, which noc::TiledCrossbarMatrix counts.
+  std::size_t solve_ops = 0;
   /// Solve attempts that produced no usable solution: a singular effective
   /// array fails to settle (no settle happens, so nothing is charged to the
   /// energy ledger) and a non-finite readout is discarded.
@@ -143,12 +133,8 @@ class Crossbar {
   /// Re-programming with a different shape is allowed (a new array).
   /// `full_scale_hint` reserves mapping headroom: the conductance full-scale
   /// covers max(a.max_abs(), full_scale_hint), so later update_cells writes
-  /// of values up to the hint do not force a whole-array re-map. `plan`
-  /// is the pivot plan the simulator factors the settle array with
-  /// (linalg/lu.hpp); empty = dense partial pivoting. Kirchhoff settles to
-  /// the same vector either way.
-  void program(const Matrix& a, double full_scale_hint = 0.0,
-               PivotPlan plan = {});
+  /// of values up to the hint do not force a whole-array re-map.
+  void program(const Matrix& a, double full_scale_hint = 0.0);
 
   /// True when an array has been programmed.
   [[nodiscard]] bool programmed() const noexcept { return !ideal_.empty(); }
@@ -159,23 +145,12 @@ class Crossbar {
   /// Rewrites a batch of scattered cells, in order — the one write after
   /// program(), used for the per-PDIP-iteration diagonal refresh. Only cells
   /// whose programmed level changes are written (and counted); the write
-  /// cost is charged to the ledger once per batch, and the settle cache is
-  /// dropped only when some cell actually changed. A value above the
+  /// cost is charged to the ledger once per batch. A value above the
   /// mapping full-scale transparently re-programs the whole array at that
   /// cell (a full-scale change re-maps every cell). Returns the number of
-  /// cells whose programmed level changed.
+  /// cells whose programmed level changed: the owner's settle factor is
+  /// stale exactly when it is not 0.
   std::size_t update_cells(std::span<const CellUpdate> updates);
-
-  /// Settle-cache behavior counters (full refactors vs reused factors).
-  [[nodiscard]] const FactorCacheStats& settle_cache_stats() const noexcept {
-    return settle_cache_.stats();
-  }
-
-  /// The settle factorization in use (nullptr before the first settle or
-  /// after a write changed the array).
-  [[nodiscard]] const LuFactorization* settle_factor() const noexcept {
-    return settle_cache_.factorization();
-  }
 
   /// Which I/O conversion boundaries an operation crosses. Voltages are
   /// quantized (io_bits) only where they pass a DAC/ADC; chained analog
@@ -193,10 +168,10 @@ class Crossbar {
   [[nodiscard]] Vec multiply(std::span<const double> x,
                              IoBoundary io = IoBoundary::kBoth);
 
-  /// Analog solve of A·x = b (square arrays only). Returns nullopt when the
-  /// effective array is singular — physically, the array fails to settle.
-  [[nodiscard]] std::optional<Vec> solve(std::span<const double> b,
-                                         IoBoundary io = IoBoundary::kBoth);
+  /// Adds one readout's Gaussian noise (read_noise_sigma of the vector's
+  /// scale), drawn from this array's stream: the read noise of a settle
+  /// that the array's owner computed.
+  void add_read_noise(Vec& out);
 
   /// The matrix the caller asked for (pre-imperfection).
   [[nodiscard]] const Matrix& ideal() const noexcept { return ideal_; }
@@ -217,25 +192,17 @@ class Crossbar {
   /// redraws variation for) the cell even when its level is unchanged — a
   /// full program erases the array first, so every cell is a fresh write.
   /// Returns true when the cell was actually rewritten (its effective value
-  /// may have changed); a no-op write leaves the settle cache untouched.
+  /// may have changed).
   bool write_cell(std::size_t r, std::size_t c, double value, bool force);
 
   /// Writes a run of update_cells' batch that the full-scale covers (bounds
-  /// already checked), drops the settle cache when a cell changed, and
-  /// charges the aggregated write cost once.
+  /// already checked) and charges the aggregated write cost once.
   void apply_updates(std::span<const CellUpdate> updates);
 
   /// Recomputes `effective_` entry from the varied conductance, including
   /// the position-dependent IR-drop degradation.
   [[nodiscard]] double logical_from_conductance(double g_eff, std::size_t r,
                                                 std::size_t c) const noexcept;
-
-  /// Applies the Eq. (5) divider attenuation to an MVM output vector (one
-  /// entry per row) when compensation is disabled.
-  void apply_sense_divider(Vec& out) const;
-
-  /// Adds per-read Gaussian noise (read_noise_sigma of the vector's scale).
-  void apply_read_noise(Vec& out);
 
   /// Half-select disturb on the row/column sharing a written cell (§3.3).
   void apply_half_select_disturb(std::size_t r, std::size_t c);
@@ -253,9 +220,6 @@ class Crossbar {
   double slope_ = 0.0;       // (g_max-g_min)/a_max
 
   CrossbarStats stats_;
-  /// Caches the effective-matrix factorization across settles; re-factors
-  /// only after a write really changed a cell (linalg/factor_cache.hpp).
-  FactorizationCache settle_cache_;
 };
 
 }  // namespace memlp::xbar

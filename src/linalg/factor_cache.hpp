@@ -79,15 +79,24 @@ class FactorizationCache {
     storage_ = Matrix();
   }
 
+  /// Sizes the storage the next re-factor builds into to `dim` × `dim`
+  /// (zeroed) when no factor is cached, so that the owner allocates it
+  /// where it programs the matrix, not in a settle.
+  void reserve(std::size_t dim) {
+    if (lu_ || (storage_.rows() == dim && storage_.cols() == dim)) return;
+    storage_ = Matrix(dim, dim);
+  }
+
   [[nodiscard]] const PivotPlan& plan() const noexcept { return plan_; }
 
   /// Ensures a factorization of the current `dim` × `dim` matrix is
   /// available: re-uses the cached one when nothing was invalidated since
   /// the last prepare() and the size is the same, else calls
   /// `build(Matrix& a)` to write the matrix into `a` and factors it in
-  /// place. `a` is the storage of the factor the last invalidate() dropped
-  /// when that was `dim` × `dim`, else empty (the builder sizes it). A hit
-  /// builds and copies nothing. Returns false when the matrix is singular.
+  /// place. `a` is the storage of the factor the last invalidate() dropped,
+  /// or reserve()'s, when that is `dim` × `dim`, else empty (the builder
+  /// sizes it). A hit builds and copies nothing. Returns false when the
+  /// matrix is singular.
   // memlint:hot — per-iteration settle (re)factorization entry.
   template <class Build>
   bool prepare(std::size_t dim, Build&& build) {

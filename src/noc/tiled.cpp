@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -23,14 +24,54 @@ void charge(NocStats& stats, std::size_t values, std::size_t hops) noexcept {
   obs::CostLedger::charge_active({.noc_value_hops = values * hops});
 }
 
+/// Counts one settle in `settles` and charges it to the cost ledger.
+void charge_settle(std::size_t& settles) noexcept {
+  ++settles;
+  obs::CostLedger::charge_active({.settles = 1});
+}
+
+/// The readout of one settle across the structure boundary: the DAC
+/// quantizes `b` when `io` crosses it, `settle` solves, a non-finite readout
+/// is discarded (nullopt), and `noisy`'s read noise (when given) and the ADC
+/// act on the rest.
+template <class Settle>
+std::optional<Vec> read_out(const xbar::Quantizer& converter,
+                            xbar::Crossbar::IoBoundary io,
+                            std::span<const double> b, Settle&& settle,
+                            xbar::Crossbar* noisy) {
+  using IoBoundary = xbar::Crossbar::IoBoundary;
+  const bool dac = io == IoBoundary::kBoth || io == IoBoundary::kInputOnly;
+  const bool adc = io == IoBoundary::kBoth || io == IoBoundary::kOutputOnly;
+  const Vec quantized = dac ? converter.quantized(b) : Vec();
+  Vec x = std::forward<Settle>(settle)(
+      dac ? std::span<const double>(quantized) : b);
+  if (!std::all_of(x.begin(), x.end(),
+                   [](double v) { return std::isfinite(v); }))
+    return std::nullopt;
+  if (noisy != nullptr) noisy->add_read_noise(x);
+  if (adc) converter.quantize(x);
+  return x;
+}
+
 }  // namespace
 
 TiledCrossbarMatrix::TiledCrossbarMatrix(TiledConfig config, Rng rng)
     : config_(config), rng_(rng) {
   if (config_.tile_dim == 0)
     throw ConfigError("tiled crossbar: tile_dim must be > 0");
-  config_.xbar.max_dim = config_.tile_dim;
   config_.xbar.validate();
+}
+
+TiledCrossbarMatrix::TiledCrossbarMatrix(const xbar::CrossbarConfig& config,
+                                         Rng rng)
+    : TiledCrossbarMatrix(
+          TiledConfig{.tile_dim = std::numeric_limits<std::size_t>::max(),
+                      .xbar = config},
+          rng) {
+  one_tile_ = true;
+  tiles_.emplace_back(config_.xbar, rng_);
+  tile_zero_.assign(1, 0);
+  topology_ = make_topology(config_.topology, 1);
 }
 
 std::vector<TiledCrossbarMatrix::BlockRange> TiledCrossbarMatrix::cut(
@@ -43,6 +84,25 @@ std::vector<TiledCrossbarMatrix::BlockRange> TiledCrossbarMatrix::cut(
 
 void TiledCrossbarMatrix::program(const Matrix& a, double full_scale_hint,
                                   PivotPlan plan) {
+  if (one_tile_) {
+    // The one tile is programmed from `a` itself (and checks it), in place:
+    // no block copy, and its stream draws on.
+    tiles_.front().program(a, full_scale_hint);
+    rows_ = a.rows();
+    cols_ = a.cols();
+    row_blocks_ = cut(rows_, config_.tile_dim);
+    col_blocks_ = cut(cols_, config_.tile_dim);
+  } else {
+    program_grid(a, full_scale_hint);
+  }
+  // Every tile re-drew its cells: drop the factorization, and size the
+  // storage of the next one here rather than in a settle.
+  settle_cache_.set_plan(std::move(plan));
+  if (rows_ == cols_) settle_cache_.reserve(rows_);
+}
+
+void TiledCrossbarMatrix::program_grid(const Matrix& a,
+                                       double full_scale_hint) {
   MEMLP_EXPECT_MSG(a.nonnegative(),
                    "tiled crossbar only represents non-negative matrices");
   MEMLP_EXPECT(a.rows() > 0 && a.cols() > 0);
@@ -80,8 +140,6 @@ void TiledCrossbarMatrix::program(const Matrix& a, double full_scale_hint,
       },
       config_.threads);
   topology_ = make_topology(config_.topology, tiles_.size());
-  // Every tile re-drew its cells: drop the factorization.
-  settle_cache_.set_plan(std::move(plan));
 }
 
 void TiledCrossbarMatrix::materialize_tile(std::size_t bi, std::size_t bj) {
@@ -97,6 +155,12 @@ void TiledCrossbarMatrix::materialize_tile(std::size_t bi, std::size_t bj) {
 std::size_t TiledCrossbarMatrix::update_cells(
     std::span<const xbar::CellUpdate> updates) {
   MEMLP_EXPECT(programmed());
+  if (one_tile_) {
+    // One tile has no NoC: the batch goes to the array as it is.
+    const std::size_t changed = tiles_.front().update_cells(updates);
+    if (changed != 0) settle_cache_.invalidate();
+    return changed;
+  }
   // Group the scattered cells by owning tile, preserving order within each
   // tile (tiles own independent RNG streams, so per-tile order is all that
   // matters for determinism).
@@ -146,6 +210,8 @@ std::size_t TiledCrossbarMatrix::update_cells(
 Vec TiledCrossbarMatrix::multiply(std::span<const double> x,
                                   xbar::Crossbar::IoBoundary io) {
   MEMLP_EXPECT(programmed());
+  // One tile has no NoC and no summing amplifier: its readout is the result.
+  if (one_tile_) return tiles_.front().multiply(x, io);
   MEMLP_EXPECT_MSG(x.size() == cols_, "tiled multiply: size mismatch");
   using IoBoundary = xbar::Crossbar::IoBoundary;
   // Tiles convert at the input when the structure does; partial outputs stay
@@ -197,25 +263,21 @@ Vec TiledCrossbarMatrix::multiply(std::span<const double> x,
 }
 
 Matrix TiledCrossbarMatrix::assemble_effective() const {
-  Matrix full;
-  assemble_effective(full);
+  Matrix full(rows_, cols_);
+  fill_effective(full);
   return full;
 }
 
-void TiledCrossbarMatrix::assemble_effective(Matrix& full) const {
+void TiledCrossbarMatrix::fill_effective(Matrix& full) const {
   MEMLP_EXPECT(programmed());
-  // Every entry is written once: a tile's block from its array, a zero
-  // shard's (which holds no cells) with zeros, unless the storage is fresh
-  // and already zero.
-  const bool reused = full.rows() == rows_ && full.cols() == cols_;
-  if (!reused) full = Matrix(rows_, cols_);
+  MEMLP_EXPECT(full.rows() == rows_ && full.cols() == cols_);
   for (std::size_t bi = 0; bi < row_blocks_.size(); ++bi) {
     const BlockRange rows = row_blocks_[bi];
     for (std::size_t bj = 0; bj < col_blocks_.size(); ++bj) {
       const BlockRange cols = col_blocks_[bj];
       if (!tile_is_zero(bi, bj)) {
         full.set_block(rows.begin, cols.begin, tile(bi, bj).effective());
-      } else if (reused) {
+      } else {
         for (std::size_t i = rows.begin; i < rows.begin + rows.length; ++i)
           std::ranges::fill(full.row(i).subspan(cols.begin, cols.length),
                             0.0);
@@ -224,44 +286,50 @@ void TiledCrossbarMatrix::assemble_effective(Matrix& full) const {
   }
 }
 
+// memlint:hot — the iterative settle loop; the paper's O(1) analog solve.
 std::optional<Vec> TiledCrossbarMatrix::solve(std::span<const double> b,
                                               xbar::Crossbar::IoBoundary io) {
-  using IoBoundary = xbar::Crossbar::IoBoundary;
   MEMLP_EXPECT(programmed());
   MEMLP_EXPECT_MSG(rows_ == cols_, "tiled solve requires a square matrix");
   MEMLP_EXPECT(b.size() == rows_);
+  // One tile settles as the crossbar it is; a grid settles globally.
+  std::size_t& settles =
+      one_tile_ ? solve_stats_.solve_ops : stats_.global_settles;
+  std::size_t& failures =
+      one_tile_ ? solve_stats_.failed_settles : stats_.failed_global_settles;
   // Only a re-factor assembles the composite, into the storage of the
-  // factor it replaces: no dense copy of the tiles outlives the settle.
+  // factor it replaces (or that program() reserved): no dense copy of the
+  // tiles outlives the settle.
   if (!settle_cache_.prepare(
-          rows_, [this](Matrix& full) { assemble_effective(full); })) {
-    // A singular composite network never settles: no boundary voltages move
-    // and nothing is charged — only the failure is recorded.
-    ++stats_.failed_global_settles;
+          rows_, [this](Matrix& full) { fill_effective(full); })) {
+    // A singular network never settles: no boundary voltages move and
+    // nothing is charged — only the failure is recorded.
+    ++failures;
     return std::nullopt;
   }
   // The arbiters connect the tiles into one composite network; boundary
   // voltages cross the NoC once per settle in each direction. Zero shards
   // are not wired in — they carry no cells and move no boundary voltages.
-  for (std::size_t t = 0; t < tiles_.size(); ++t) {
-    if (tile_zero_[t] != 0) continue;
-    charge_transfer(tiles_[t].rows() + tiles_[t].cols(),
-                    topology_->hops_to_root(t));
+  // One tile has no NoC to cross.
+  if (!one_tile_) {
+    for (std::size_t t = 0; t < tiles_.size(); ++t) {
+      if (tile_zero_[t] != 0) continue;
+      charge_transfer(tiles_[t].rows() + tiles_[t].cols(),
+                      topology_->hops_to_root(t));
+    }
   }
-  ++stats_.global_settles;
-  obs::CostLedger::charge_active({.settles = 1});
-  // Voltage I/O crosses the structure boundary with the tiles' precision.
-  const xbar::Quantizer converter(config_.xbar.io_bits);
-  const bool dac = io == IoBoundary::kBoth || io == IoBoundary::kInputOnly;
-  const bool adc = io == IoBoundary::kBoth || io == IoBoundary::kOutputOnly;
-  Vec x = settle_cache_.solve(dac ? converter.quantized(b)
-                                  : Vec(b.begin(), b.end()));
-  if (!std::all_of(x.begin(), x.end(),
-                   [](double v) { return std::isfinite(v); })) {
-    // The settle ran (and was charged) but read out garbage.
-    ++stats_.failed_global_settles;
-    return std::nullopt;
-  }
-  if (adc) converter.quantize(x);
+  charge_settle(settles);
+  // Voltage I/O crosses the structure boundary with the tiles' precision;
+  // the one tile's readout carries its read noise, a composite's does not.
+  auto x = read_out(
+      xbar::Quantizer(config_.xbar.io_bits), io, b,
+      [this](std::span<const double> rhs) {
+        return settle_cache_.solve(rhs);
+      },
+      one_tile_ ? &tiles_.front() : nullptr);
+  // A non-finite readout: the settle ran (and was charged) but read out
+  // garbage.
+  if (!x) ++failures;
   return x;
 }
 
@@ -284,15 +352,25 @@ BlockSolveResult TiledCrossbarMatrix::solve_block_jacobi(
   // realize, read controller-side: routing the residual check through
   // multiply() would push it across the ADC and read-noise path, which can
   // stall convergence near tolerance and inflates tile_settles/NoC counters
-  // by a full MVM per sweep. Assembling once up front is valid because the
-  // tiles are not rewritten during the sweeps.
+  // by a full MVM per sweep. Assembling it, and factoring each diagonal
+  // tile, once up front is valid because the tiles are not rewritten during
+  // the sweeps.
   const Matrix effective = assemble_effective();
+  std::vector<std::optional<LuFactorization>> diagonal(nb);
+  par::parallel_for(
+      nb,
+      [&](std::size_t k) {
+        if (!tile_is_zero(k, k)) diagonal[k].emplace(tile(k, k).effective());
+      },
+      config_.threads);
+  const xbar::Quantizer converter(config_.xbar.io_bits);
   for (std::size_t sweep = 1; sweep <= options.max_sweeps; ++sweep) {
     Vec next(rows_, 0.0);
     // Block rows relax independently within a sweep (Jacobi, not
     // Gauss-Seidel): each task reads only the previous iterate, owns every
     // tile of its row, and writes a disjoint slice of `next`.
     std::vector<NocStats> local(nb);
+    std::vector<xbar::CrossbarStats> solved(nb);
     std::vector<xbar::AmplifierBank> banks(nb);
     std::vector<unsigned char> singular(nb, 0);
     par::parallel_for(
@@ -320,9 +398,21 @@ BlockSolveResult TiledCrossbarMatrix::solve_block_jacobi(
                    topology_->hops(t, tile_index(bi, bi)));
             rhs = banks[bi].sub(rhs, contribution);
           }
-          auto block_x = tile(bi, bi).solve(rhs);
+          // The diagonal tile settles as a standalone crossbar would.
           ++local[bi].tile_settles;
+          const LuFactorization& lu = *diagonal[bi];
+          if (lu.singular()) {
+            ++solved[bi].failed_settles;
+            singular[bi] = 1;
+            return;
+          }
+          charge_settle(solved[bi].solve_ops);
+          auto block_x = read_out(
+              converter, xbar::Crossbar::IoBoundary::kBoth, rhs,
+              [&lu](std::span<const double> v) { return lu.solve(v); },
+              &tile(bi, bi));
           if (!block_x) {
+            ++solved[bi].failed_settles;
             singular[bi] = 1;
             return;
           }
@@ -332,6 +422,7 @@ BlockSolveResult TiledCrossbarMatrix::solve_block_jacobi(
         config_.threads);
     for (std::size_t bi = 0; bi < nb; ++bi) {
       stats_ += local[bi];
+      solve_stats_ += solved[bi];
       amps_.absorb(banks[bi].stats());
     }
     // A singular diagonal tile means no convergence. (All block rows of the
@@ -352,13 +443,14 @@ BlockSolveResult TiledCrossbarMatrix::solve_block_jacobi(
 }
 
 xbar::CrossbarStats TiledCrossbarMatrix::crossbar_stats() const noexcept {
-  xbar::CrossbarStats total;
+  xbar::CrossbarStats total = solve_stats_;
   for (const auto& t : tiles_) total += t.stats();
   return total;
 }
 
 void TiledCrossbarMatrix::reset_stats() noexcept {
   stats_ = {};
+  solve_stats_ = {};
   amps_.reset_stats();
   for (auto& t : tiles_) t.reset_stats();
 }

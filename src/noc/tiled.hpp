@@ -14,6 +14,13 @@
 // the distributed-control alternative where a single composite settle is not
 // available; bench/ablation_noc compares the two.
 //
+// The structure is the one owner of every analog settle. A monolithic
+// crossbar is its one-tile case (the CrossbarConfig constructor): one tile
+// holds the whole programmed matrix, with no NoC and no summing amplifier
+// around it. That tile draws from the structure's stream unsplit, and its
+// settles count as the crossbar's (CrossbarStats::solve_ops), read noise
+// included; a grid's composite settles count as global settles.
+//
 // All data movement is counted in NocStats (values × hops) and priced by
 // perf::HardwareModel.
 #pragma once
@@ -25,6 +32,7 @@
 
 #include "crossbar/amplifier.hpp"
 #include "crossbar/crossbar.hpp"
+#include "linalg/factor_cache.hpp"
 #include "noc/topology.hpp"
 
 namespace memlp::noc {
@@ -63,8 +71,7 @@ struct TiledConfig {
   /// Maximum crossbar side length (manufacturing limit, §3.4).
   std::size_t tile_dim = 128;
   TopologyKind topology = TopologyKind::kHierarchical;
-  /// Per-tile crossbar configuration (its max_dim is overridden by
-  /// tile_dim).
+  /// Per-tile crossbar configuration.
   xbar::CrossbarConfig xbar{};
   /// Threads for per-tile operations (program/update/MVM/block-Jacobi);
   /// 0 = par::default_threads(). Results are bit-identical at any value:
@@ -89,11 +96,19 @@ struct BlockSolveResult {
 /// A non-negative logical matrix held across a grid of crossbar tiles.
 class TiledCrossbarMatrix {
  public:
+  /// A grid of tiles at most config.tile_dim per side behind the NoC. Every
+  /// program() gives each tile its own split stream.
   TiledCrossbarMatrix(TiledConfig config, Rng rng);
+
+  /// The monolithic crossbar: one tile, without a size limit, that holds
+  /// whatever is programmed. Its tile draws from `rng` unsplit and keeps
+  /// drawing across program() calls, which re-program it in place.
+  TiledCrossbarMatrix(const xbar::CrossbarConfig& config, Rng rng);
 
   /// Programs the tile grid to represent `a` (non-negative). The optional
   /// full-scale hint is forwarded to every tile; `plan` is the pivot plan
-  /// of the composite settle (see Crossbar::program).
+  /// the settles are factored with (linalg/lu.hpp; empty = dense partial
+  /// pivoting). Kirchhoff settles to the same vector either way.
   void program(const Matrix& a, double full_scale_hint = 0.0,
                PivotPlan plan = {});
 
@@ -128,35 +143,39 @@ class TiledCrossbarMatrix {
 
   /// Composite-network solve of A·x = b (square matrices): the arbiters wire
   /// all tiles into one Kirchhoff network and the structure settles once.
-  /// Returns nullopt when the effective composite matrix is singular.
+  /// Returns nullopt when the effective composite matrix is singular —
+  /// physically, the array fails to settle — or the readout is not finite.
   [[nodiscard]] std::optional<Vec> solve(
       std::span<const double> b,
       xbar::Crossbar::IoBoundary io = xbar::Crossbar::IoBoundary::kBoth);
 
   /// Distributed block-Jacobi solve using only per-tile settles (diagonal
   /// tiles in solve mode, off-diagonal tiles in MVM mode). Requires the
-  /// diagonal tiles to be square. Convergence is not guaranteed for general
-  /// systems — check `converged`.
+  /// diagonal tiles to be square. Each diagonal tile is factored once per
+  /// call. Convergence is not guaranteed for general systems — check
+  /// `converged`.
   [[nodiscard]] BlockSolveResult solve_block_jacobi(
       std::span<const double> b, const BlockSolveOptions& options = {});
 
   /// The logical matrix realized by the imperfect tiles, assembled.
   [[nodiscard]] Matrix assemble_effective() const;
-  /// The same, written into `full`: its storage is reused when it already
-  /// has this shape.
-  void assemble_effective(Matrix& full) const;
+  /// The same, written into `full`, which has this shape: every entry once,
+  /// a zero shard's as zeros, with no allocation (a settle's builder).
+  void fill_effective(Matrix& full) const;
 
   [[nodiscard]] const NocStats& noc_stats() const noexcept { return stats_; }
-  /// Sum of all tiles' crossbar counters.
+  /// Sum of all tiles' crossbar counters, with the tile settles the
+  /// structure computes for them.
   [[nodiscard]] xbar::CrossbarStats crossbar_stats() const noexcept;
   [[nodiscard]] const xbar::AmplifierStats& amplifier_stats() const noexcept {
     return amps_.stats();
   }
-  /// Composite settle-cache counters (full refactors vs reused factors).
+  /// Settle-cache counters (full refactors vs reused factors).
   [[nodiscard]] const FactorCacheStats& settle_cache_stats() const noexcept {
     return settle_cache_.stats();
   }
-  /// The composite settle factorization in use (nullptr when none).
+  /// The settle factorization in use (nullptr before the first settle or
+  /// after a write changed the array).
   [[nodiscard]] const LuFactorization* settle_factor() const noexcept {
     return settle_cache_.factorization();
   }
@@ -181,6 +200,10 @@ class TiledCrossbarMatrix {
     return tiles_[tile_index(bi, bj)];
   }
 
+  /// Programs `a` onto a fresh grid of tile_dim tiles, each with its own
+  /// split stream; all-zero blocks stay unprogrammed.
+  void program_grid(const Matrix& a, double full_scale_hint);
+
   /// Charges a transfer of `values` elements across `hops` hops.
   void charge_transfer(std::size_t values, std::size_t hops) noexcept;
 
@@ -195,6 +218,8 @@ class TiledCrossbarMatrix {
 
   TiledConfig config_;
   Rng rng_;
+  /// True for the monolithic array (see the CrossbarConfig constructor).
+  bool one_tile_ = false;
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<BlockRange> row_blocks_;
@@ -209,10 +234,13 @@ class TiledCrossbarMatrix {
   std::unique_ptr<Topology> topology_;
   xbar::AmplifierBank amps_;
   NocStats stats_;
-  /// Caches the composite factorization across settles; dropped only when
-  /// a write changed some tile. A re-factor assembles the composite
-  /// (assemble_effective) into the dropped factor's storage and the new
-  /// factor takes it over.
+  /// Tile settles the structure computes: the one tile's, and block-Jacobi's
+  /// diagonal ones (solve_ops and failed_settles only).
+  xbar::CrossbarStats solve_stats_;
+  /// Caches the settle factorization across settles; dropped only when a
+  /// write changed some tile. A re-factor assembles the composite
+  /// (fill_effective) into the dropped factor's storage, or the
+  /// storage program() reserved, and the new factor takes it over.
   FactorizationCache settle_cache_;
 };
 

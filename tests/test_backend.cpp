@@ -1,5 +1,5 @@
-// Tests for the analog backend abstraction (single crossbar vs tiled NoC)
-// and the per-cell gain-ranging write mode.
+// Tests for the analog backend (the one-tile monolithic crossbar vs the
+// forced NoC grid) and the per-cell gain-ranging write mode.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -33,25 +33,49 @@ BackendOptions ideal_options() {
   return options;
 }
 
+// Without force_noc the system sits on one monolithic crossbar, whatever its
+// size (tile_dim applies to the grid only): one tile, no NoC traffic, no
+// summing amplifier, and its settles count as the crossbar's.
 TEST(Backend, SelectsSingleCrossbarBySizeLimit) {
-  const auto small = make_backend(ideal_options(), 32, Rng(1));
-  EXPECT_NE(small->describe().find("single crossbar"), std::string::npos);
+  BackendOptions options = ideal_options();
+  options.tile_dim = 16;
+  const auto single = make_backend(options, Rng(1));
+  Rng rng(10);
+  single->program(random_nonneg(40, rng), 0.0);
+  (void)single->multiply(Vec(40, 1.0));
+  ASSERT_TRUE(single->solve(Vec(40, 1.0)).has_value());
+  const BackendStats stats = single->stats();
+  EXPECT_EQ(stats.num_tiles, 1u);
+  EXPECT_EQ(stats.zero_tiles, 0u);
+  EXPECT_EQ(stats.xbar.mvm_ops, 1u);
+  EXPECT_EQ(stats.xbar.solve_ops, 1u);
+  EXPECT_EQ(stats.noc.transfers, 0u);
+  EXPECT_EQ(stats.noc.global_settles, 0u);
+  EXPECT_EQ(stats.amps.vector_ops, 0u);
 }
 
+// force_noc cuts the system into tile_dim tiles; a settle wires them into
+// one composite network and counts as a global settle.
 TEST(Backend, SelectsNocWhenDimExceedsLimit) {
   BackendOptions options = ideal_options();
-  options.crossbar.max_dim = 16;
+  options.force_noc = true;
   options.tile_dim = 16;
-  const auto big = make_backend(options, 40, Rng(2));
-  EXPECT_NE(big->describe().find("NoC"), std::string::npos);
+  const auto grid = make_backend(options, Rng(2));
+  Rng rng(20);
+  grid->program(random_nonneg(40, rng), 0.0);
+  ASSERT_TRUE(grid->solve(Vec(40, 1.0)).has_value());
+  const BackendStats stats = grid->stats();
+  EXPECT_EQ(stats.num_tiles, 9u);  // ceil(40 / 16) squared
+  EXPECT_EQ(stats.noc.global_settles, 1u);
+  EXPECT_GT(stats.noc.transfers, 0u);
+  EXPECT_EQ(stats.xbar.solve_ops, 0u);
 }
 
 TEST(Backend, ForceNocOverridesSize) {
   BackendOptions options = ideal_options();
   options.force_noc = true;
   options.tile_dim = 8;
-  const auto backend = make_backend(options, 12, Rng(3));
-  EXPECT_NE(backend->describe().find("NoC"), std::string::npos);
+  const auto backend = make_backend(options, Rng(3));
   Rng rng(30);
   backend->program(random_nonneg(12, rng), 0.0);
   EXPECT_GT(backend->stats().num_tiles, 1u);
@@ -76,7 +100,7 @@ TEST(Backend, SettlesFollowThePivotPlan) {
   tiled_options.force_noc = true;
   tiled_options.tile_dim = 16;
   for (const BackendOptions& options : {ideal_options(), tiled_options}) {
-    const auto backend = make_backend(options, dim, Rng(41));
+    const auto backend = make_backend(options, Rng(41));
     backend->program(negfree.matrix(), 0.0,
                      newton_pivot_plan(layout, negfree));
     EXPECT_EQ(backend->settle_factor(), nullptr);
@@ -90,7 +114,7 @@ TEST(Backend, SettlesFollowThePivotPlan) {
 
   // A write above the mapping full-scale re-programs the single crossbar;
   // its settles keep the plan.
-  const auto single = make_backend(ideal_options(), dim, Rng(42));
+  const auto single = make_backend(ideal_options(), Rng(42));
   single->program(negfree.matrix(), 0.0, newton_pivot_plan(layout, negfree));
   single->update_cells(std::array{xbar::CellUpdate{
       layout.row_xz(), layout.col_x(), 4.0 * negfree.matrix().max_abs()}});
@@ -105,11 +129,11 @@ TEST(Backend, SingleAndTiledComputeTheSameMath) {
   Vec x(dim);
   for (double& v : x) v = rng.uniform(-1.0, 1.0);
 
-  const auto single = make_backend(ideal_options(), dim, Rng(5));
+  const auto single = make_backend(ideal_options(), Rng(5));
   BackendOptions tiled_options = ideal_options();
   tiled_options.force_noc = true;
   tiled_options.tile_dim = 7;
-  const auto tiled = make_backend(tiled_options, dim, Rng(5));
+  const auto tiled = make_backend(tiled_options, Rng(5));
 
   single->program(a, 0.0);
   tiled->program(a, 0.0);
@@ -135,7 +159,7 @@ TEST(Backend, UpdateCellFlowsThroughBothKinds) {
     BackendOptions options = ideal_options();
     options.force_noc = force_noc;
     options.tile_dim = 4;
-    const auto backend = make_backend(options, dim, Rng(7));
+    const auto backend = make_backend(options, Rng(7));
     backend->program(a, 2.0 * a.max_abs());
     backend->update_cells(std::array{xbar::CellUpdate{3, 3, a(3, 3) + 1.0}});
     Vec e(dim, 0.0);
@@ -146,7 +170,7 @@ TEST(Backend, UpdateCellFlowsThroughBothKinds) {
 }
 
 TEST(Backend, StatsAccumulateAndDiff) {
-  const auto backend = make_backend(ideal_options(), 8, Rng(8));
+  const auto backend = make_backend(ideal_options(), Rng(8));
   Rng rng(9);
   backend->program(random_nonneg(8, rng), 0.0);
   const BackendStats after_program = backend->stats();
@@ -204,13 +228,6 @@ TEST(GainRanging, UnchangedValueIsNotRewritten) {
   crossbar.update_cells(std::array{xbar::CellUpdate{1, 1, 0.5}});
   EXPECT_EQ(crossbar.stats().cells_written, cells_before);
   EXPECT_EQ(crossbar.effective()(1, 1), effective_before);  // keeps its draw
-}
-
-TEST(GainRanging, RequiresCompensatedReadout) {
-  xbar::CrossbarConfig config;
-  config.per_cell_gain_ranging = true;
-  config.compensate_sense_divider = false;
-  EXPECT_THROW(config.validate(), ConfigError);
 }
 
 }  // namespace

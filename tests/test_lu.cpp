@@ -519,17 +519,9 @@ TEST(LuPlanned, SingularFrontIsReported) {
 // within 10× the dense one; for ls it is reported (see LsPlannedSettles).
 // The forward difference is reported, not gated.
 
-/// The matrix a settle of `array` factors.
-const Matrix& effective_of(const xbar::Crossbar& array) {
-  return array.effective();
-}
-Matrix effective_of(const noc::TiledCrossbarMatrix& array) {
-  return array.assemble_effective();
-}
-
-/// A backend over a single crossbar or a tiled NoC that checks every settle
+/// A backend over a single crossbar (a CrossbarConfig: the one-tile
+/// structure) or a tiled NoC (a TiledConfig) that checks every settle
 /// against the dense factor of the same array.
-template <class Array>
 class SettleProbe final : public core::AnalogBackend {
  public:
   /// `gated` = false records the planned/dense ratios without checking
@@ -557,7 +549,7 @@ class SettleProbe final : public core::AnalogBackend {
         array_.settle_cache_stats().full_factorizations;
     if (factorizations != factorizations_) {
       factorizations_ = factorizations;
-      a_ = effective_of(array_);
+      a_ = array_.assemble_effective();
       planned_.emplace(a_, plan_);
       dense_.emplace(a_);
       fronts.push_back(planned_->front_dim());
@@ -588,7 +580,6 @@ class SettleProbe final : public core::AnalogBackend {
     return array_.settle_factor();
   }
   void reset_stats() override { array_.reset_stats(); }
-  std::string describe() const override { return "settle probe"; }
 
   [[nodiscard]] std::size_t max_front() const {
     return fronts.empty() ? 0 : *std::max_element(fronts.begin(), fronts.end());
@@ -601,7 +592,7 @@ class SettleProbe final : public core::AnalogBackend {
   double worst_forward = 0.0;
 
  private:
-  Array array_;
+  noc::TiledCrossbarMatrix array_;
   bool gated_;
   PivotPlan plan_;
   std::uint64_t factorizations_ = 0;
@@ -636,8 +627,7 @@ TEST_P(LuPlannedSettles, BackwardErrorWithinTenfoldOfDense) {
   options.hardware.crossbar.variation =
       variation > 0.0 ? mem::VariationModel::uniform(variation)
                       : mem::VariationModel::none();
-  SettleProbe<xbar::Crossbar> probe(options.hardware.crossbar,
-                                    Rng(options.seed).split());
+  SettleProbe probe(options.hardware.crossbar, Rng(options.seed).split());
   xbar::AmplifierBank amps;
   core::EngineConfig config;
   config.solver_name = "xbar";
@@ -699,7 +689,7 @@ void PrintTo(const LsSettleCase& c, std::ostream* os) {
       << c.tile_dim;
 }
 
-template <class Array, class Config>
+template <class Config>
 void check_ls_settles(const LsSettleCase& c, const Config& array_config,
                       const core::LsPdipOptions& options,
                       const lp::LinearProgram& original) {
@@ -711,7 +701,7 @@ void check_ls_settles(const LsSettleCase& c, const Config& array_config,
   Rng rng(options.seed);
   core::NegativeFreeSystem negfree(core::build_schur_m1(
       problem, core::PdipState::ones(n, m), options.ratio_cap));
-  SettleProbe<Array> probe(array_config, rng.split(), /*gated=*/false);
+  SettleProbe probe(array_config, rng.split(), /*gated=*/false);
   xbar::AmplifierBank amps;
   core::EngineConfig config;
   config.solver_name = "ls";
@@ -761,10 +751,9 @@ TEST_P(LsPlannedSettles, ReportsBackwardErrorAgainstDense) {
   xbar::CrossbarConfig m1 = options.hardware.crossbar;
   m1.per_cell_gain_ranging = true;
   if (c.tile_dim == 0) {
-    check_ls_settles<xbar::Crossbar>(c, m1, options, original);
+    check_ls_settles(c, m1, options, original);
   } else {
-    m1.max_dim = 0;
-    check_ls_settles<noc::TiledCrossbarMatrix>(
+    check_ls_settles(
         c, noc::TiledConfig{c.tile_dim, options.hardware.topology, m1},
         options, original);
   }

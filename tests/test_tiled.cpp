@@ -73,7 +73,7 @@ TEST(Tiled, AssemblyIntoReusedStorageClearsZeroShards) {
   tiled.program(a);
   Matrix reused(8, 8, -7.0);
   const double* storage = reused.data().data();
-  tiled.assemble_effective(reused);
+  tiled.fill_effective(reused);
   EXPECT_EQ(reused.data().data(), storage);
   EXPECT_EQ(reused, tiled.assemble_effective());
   EXPECT_EQ(reused(0, 4), 0.0);
@@ -363,6 +363,74 @@ TEST(Tiled, FailedGlobalSettleAccounting) {
   // No settle happened: no global settle counted, no boundary transfers.
   EXPECT_EQ(after.global_settles, before.global_settles);
   EXPECT_EQ(after.transfers, before.transfers);
+}
+
+// The monolithic crossbar is the one-tile structure: with the same stream it
+// programs, writes, multiplies and settles bit for bit as a bare crossbar
+// whose settle is the dense LU of its effective array, and it moves nothing
+// over a NoC or through a summing amplifier.
+TEST(Tiled, OneTileIsTheSingleCrossbar) {
+  xbar::CrossbarConfig config;
+  config.variation = mem::VariationModel::uniform(0.05);
+  config.io_bits = 8;
+  config.read_noise_sigma = 1e-3;
+  Rng rng(60);
+  const std::size_t n = 12;
+  Matrix a = random_nonneg(n, n, rng);
+  for (std::size_t i = 0; i < n; ++i) a(i, i) += 4.0;
+  TiledCrossbarMatrix one(config, Rng(61));
+  xbar::Crossbar bare(config, Rng(61));
+  one.program(a, 4.0);
+  bare.program(a, 4.0);
+  EXPECT_EQ(one.num_tiles(), 1u);
+  EXPECT_EQ(one.assemble_effective(), bare.effective());
+
+  // A batch of writes whose fifth cell exceeds the full-scale and re-maps
+  // the whole array.
+  std::vector<xbar::CellUpdate> updates;
+  for (std::size_t j = 0; j < n; ++j)
+    updates.push_back({j, (j + 1) % n, rng.uniform(0.5, 3.0)});
+  updates[4].value = 10.0 * a.max_abs();
+  EXPECT_EQ(one.update_cells(updates), bare.update_cells(updates));
+  EXPECT_EQ(bare.stats().full_programs, 2u);
+  EXPECT_EQ(one.assemble_effective(), bare.effective());
+
+  Vec x(n);
+  for (double& v : x) v = rng.uniform(-1.0, 1.0);
+  using IoBoundary = xbar::Crossbar::IoBoundary;
+  for (const IoBoundary io : {IoBoundary::kBoth, IoBoundary::kInputOnly,
+                              IoBoundary::kOutputOnly, IoBoundary::kNone})
+    EXPECT_EQ(one.multiply(x, io), bare.multiply(x, io));
+
+  // The settle: the dense LU of the effective array between the same
+  // converters, with the read noise of the tile's stream.
+  const auto settled = one.solve(x);
+  ASSERT_TRUE(settled.has_value());
+  const xbar::Quantizer converter(config.io_bits);
+  Vec expected = LuFactorization(bare.effective()).solve(converter.quantized(x));
+  bare.add_read_noise(expected);
+  converter.quantize(expected);
+  EXPECT_EQ(*settled, expected);
+
+  // A re-program keeps drawing from the same stream.
+  one.program(a);
+  bare.program(a);
+  EXPECT_EQ(one.assemble_effective(), bare.effective());
+
+  const NocStats& noc = one.noc_stats();
+  EXPECT_EQ(noc.transfers, 0u);
+  EXPECT_EQ(noc.value_hops, 0u);
+  EXPECT_EQ(noc.global_settles, 0u);
+  EXPECT_EQ(noc.tile_settles, 0u);
+  EXPECT_EQ(one.amplifier_stats().vector_ops, 0u);
+  EXPECT_EQ(one.amplifier_stats().element_ops, 0u);
+  const xbar::CrossbarStats stats = one.crossbar_stats();
+  EXPECT_EQ(stats.solve_ops, 1u);
+  EXPECT_EQ(stats.failed_settles, 0u);
+  EXPECT_EQ(stats.mvm_ops, bare.stats().mvm_ops);
+  EXPECT_EQ(stats.full_programs, bare.stats().full_programs);
+  EXPECT_EQ(stats.cells_written, bare.stats().cells_written);
+  EXPECT_EQ(stats.write_pulses, bare.stats().write_pulses);
 }
 
 }  // namespace
